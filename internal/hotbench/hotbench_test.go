@@ -85,7 +85,7 @@ func TestMeasureEndToEndSkipFraction(t *testing.T) {
 
 func TestReportRoundTrip(t *testing.T) {
 	rep := &Report{
-		Schema: 2,
+		Schema: SchemaVersion,
 		Access: []OpResult{{Policy: "LRU", NsPerOp: 1.5, Iterations: 10}},
 		EndToEnd: []EndToEndResult{
 			{Benchmark: "xapian", Policy: "TPLRU", FDIP: false, SkippedCycleFraction: 0.75},
@@ -99,7 +99,7 @@ func TestReportRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(data, &back); err != nil {
 		t.Fatal(err)
 	}
-	if back.Schema != 2 || len(back.Access) != 1 || back.Access[0].Policy != "LRU" {
+	if back.Schema != SchemaVersion || len(back.Access) != 1 || back.Access[0].Policy != "LRU" {
 		t.Errorf("round trip lost data: %+v", back)
 	}
 	if len(back.EndToEnd) != 1 || back.EndToEnd[0].SkippedCycleFraction != 0.75 {

@@ -73,6 +73,12 @@ type frontend struct {
 	ftqHead  int
 	ftqCount int //vet:skip-invariant changes on enqueue, decode pop and recover; planSkip requires fetchBlock blocked, no dispatch, no resolve
 	ftqInstr int //vet:skip-invariant changes on enqueue, decode pop and recover; planSkip requires fetchBlock blocked, no dispatch, no resolve
+	// scanDone counts the FTQ entries, from the head, whose lines are
+	// all requested; prefetchScan resumes after them instead of
+	// rescanning from the head. Requested bits are only ever set while
+	// an entry is queued, so the prefix stays complete until pop
+	// (which shifts it by one) or recover/reset (which empty the FTQ).
+	scanDone int //vet:skip-invariant moves only when the FDIP scan completes an entry or decode pops one; planSkip requires the first unrequested line to be a bare MSHR-full retry and refuses dispatch-able cycles
 
 	nextPC     uint64
 	havePC     bool
@@ -94,11 +100,12 @@ type frontend struct {
 	primeEvent trace.BlockEvent
 	havePrime  bool
 
-	inflight map[uint64]*mshrEntry
-	pending  []*mshrEntry
+	// pending holds the live MSHRs, at most MaxMSHRs of them, so a
+	// linear scan (lineBlocked) finds a line's entry without hashing.
+	pending []*mshrEntry
 	// mshrSlab backs every mshrEntry; mshrFree is the stack of unused
 	// entries (managed by reslicing within its fixed capacity). An
-	// entry is live — in inflight and pending — from requestLine until
+	// entry is live — in pending — from requestLine until
 	// processCompletions returns it to the free stack.
 	mshrSlab []mshrEntry
 	mshrFree []*mshrEntry
@@ -158,7 +165,6 @@ func newFrontend(cfg *Config, src trace.Source, hier *cache.Hierarchy, seed uint
 		ittage:       branch.NewITTAGE(11),
 		ras:          branch.NewRAS(cfg.RASDepth),
 		ftq:          make([]ftqEntry, cfg.FTQEntries),
-		inflight:     make(map[uint64]*mshrEntry, cfg.MaxMSHRs*2),
 		pending:      make([]*mshrEntry, 0, cfg.MaxMSHRs),
 		mshrSlab:     make([]mshrEntry, cfg.MaxMSHRs),
 		mshrFree:     make([]*mshrEntry, cfg.MaxMSHRs),
@@ -193,6 +199,9 @@ func (f *frontend) pop() {
 	e.mem = nil
 	f.ftqHead = (f.ftqHead + 1) % f.cfg.FTQEntries
 	f.ftqCount--
+	if f.scanDone > 0 {
+		f.scanDone--
+	}
 }
 
 func (f *frontend) full() bool {
@@ -213,7 +222,7 @@ func (f *frontend) requestLine(line uint64, now uint64, trackFig2 bool) bool {
 			f.haveReuseLine = true
 		}
 	}
-	if _, ok := f.inflight[line]; ok {
+	if _, ok := f.lineBlocked(line); ok {
 		return true
 	}
 	if len(f.pending) >= f.cfg.MaxMSHRs {
@@ -251,7 +260,6 @@ func (f *frontend) requestLine(line uint64, now uint64, trackFig2 bool) bool {
 	m := f.mshrFree[nf]
 	f.mshrFree = f.mshrFree[:nf]
 	*m = mshrEntry{line: line, completeAt: now + uint64(res.Latency), src: res.Source}
-	f.inflight[line] = m
 	np := len(f.pending)
 	f.pending = f.pending[:np+1]
 	f.pending[np] = m
@@ -295,7 +303,6 @@ func (f *frontend) processCompletions(now uint64) {
 		}
 		f.hier.CompleteFetch(m.line, m.src, high)
 		f.predecodeLine(m.line)
-		delete(f.inflight, m.line)
 		nf := len(f.mshrFree)
 		f.mshrFree = f.mshrFree[:nf+1]
 		f.mshrFree[nf] = m
@@ -304,10 +311,10 @@ func (f *frontend) processCompletions(now uint64) {
 }
 
 // prefetchScan is FDIP: walk the FTQ issuing line requests ahead of
-// decode.
+// decode, resuming after the scanDone entries already fully requested.
 func (f *frontend) prefetchScan(now uint64) {
-	idx := f.ftqHead
-	for i := 0; i < f.ftqCount; i++ {
+	idx := (f.ftqHead + f.scanDone) % f.cfg.FTQEntries
+	for ; f.scanDone < f.ftqCount; f.scanDone++ {
 		e := &f.ftq[idx]
 		for li := 0; li < e.nLines; li++ {
 			if e.requested&(1<<uint(li)) != 0 {
@@ -337,10 +344,15 @@ func (f *frontend) ensureHeadLine(e *ftqEntry, li int, now uint64) bool {
 }
 
 // lineBlocked reports whether the line is still in flight, returning
-// the MSHR for starvation marking.
+// the MSHR for starvation marking. A line has at most one live MSHR
+// (requestLine merges repeats into it).
 func (f *frontend) lineBlocked(line uint64) (*mshrEntry, bool) {
-	m, ok := f.inflight[line]
-	return m, ok
+	for _, m := range f.pending {
+		if m.line == line {
+			return m, true
+		}
+	}
+	return nil, false
 }
 
 // oracleNext pulls the next committed-path block.
@@ -542,6 +554,7 @@ func (f *frontend) recover() {
 	f.ftqHead = 0
 	f.ftqCount = 0
 	f.ftqInstr = 0
+	f.scanDone = 0
 	f.predecodeBusy = false
 	f.ras.Restore(f.rasSnap)
 	f.applyRASOps(f.resteer.kind, f.resteer.fallthrough_)
@@ -576,6 +589,7 @@ func (f *frontend) reset(src trace.Source, hier *cache.Hierarchy, seed uint64) {
 	f.ftqHead = 0
 	f.ftqCount = 0
 	f.ftqInstr = 0
+	f.scanDone = 0
 	f.nextPC = 0
 	f.havePC = false
 	f.wrongPath = false
@@ -587,7 +601,6 @@ func (f *frontend) reset(src trace.Source, hier *cache.Hierarchy, seed uint64) {
 	f.predecodeEntry = branch.BTBEntry{}
 	f.primeEvent = trace.BlockEvent{}
 	f.havePrime = false
-	clear(f.inflight)
 	f.pending = f.pending[:0]
 	f.mshrFree = f.mshrFree[:len(f.mshrSlab)]
 	for i := range f.mshrSlab {

@@ -58,7 +58,7 @@ func (f *frontend) requestWouldStall(line uint64, trackFig2 bool) bool {
 	if trackFig2 && f.tracker != nil && (!f.haveReuseLine || f.lastReuseLine != line) {
 		return false
 	}
-	if _, ok := f.inflight[line]; ok {
+	if _, ok := f.lineBlocked(line); ok {
 		return false
 	}
 	return len(f.pending) >= f.cfg.MaxMSHRs
@@ -217,12 +217,13 @@ func (c *Core) planSkip() (uint64, skipDelta, bool) {
 		}
 	}
 
-	// FDIP prefetch scan: its first unrequested line is retried every
-	// cycle; quiet only if that retry is a bare MSHR-full miss.
+	// FDIP prefetch scan: its first unrequested line (at or after the
+	// scanDone cursor) is retried every cycle; quiet only if that retry
+	// is a bare MSHR-full miss, which leaves the cursor in place.
 	if c.cfg.FDIP {
-		idx := f.ftqHead
+		idx := (f.ftqHead + f.scanDone) % f.cfg.FTQEntries
 	scan:
-		for i := 0; i < f.ftqCount; i++ {
+		for i := f.scanDone; i < f.ftqCount; i++ {
 			e := &f.ftq[idx]
 			for li := 0; li < e.nLines; li++ {
 				if e.requested&(1<<uint(li)) != 0 {

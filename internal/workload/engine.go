@@ -14,9 +14,11 @@ type Engine struct {
 	prog *Program
 	r    *rng.Xoshiro256
 
-	cur   int32    // current block index
-	stack []uint64 // return addresses
-	trips map[uint64]int32
+	cur   int32   // current block index
+	stack []int32 // return-site block indices
+	// trips holds each loop's remaining trip count by loop slot
+	// (Block.aux); 0 means the loop is not in progress.
+	trips []int32
 
 	// Per-request data state.
 	recordBase   uint64
@@ -32,10 +34,10 @@ func NewEngine(prog *Program) *Engine {
 	e := &Engine{
 		prog:  prog,
 		r:     rng.NewXoshiro256(rng.Mix2(prog.profile.Seed, 0xe4617e)),
-		trips: make(map[uint64]int32),
-		stack: make([]uint64, 0, 64),
+		cur:   prog.dispatcher,
+		trips: make([]int32, prog.numLoops),
+		stack: make([]int32, 0, 64),
 	}
-	e.cur = prog.index[prog.dispatcher]
 	e.newRecord()
 	return e
 }
@@ -49,9 +51,15 @@ func NewEngine(prog *Program) *Engine {
 func (e *Engine) Reset(prog *Program) {
 	e.prog = prog
 	e.r.Seed(rng.Mix2(prog.profile.Seed, 0xe4617e))
-	e.cur = prog.index[prog.dispatcher]
+	e.cur = prog.dispatcher
 	e.stack = e.stack[:0]
-	clear(e.trips)
+	if cap(e.trips) < prog.numLoops {
+		//lint:ignore hot-noalloc the loop-slot table is grow-only: it reallocates only when a slot's program has more loops than any program it ran before, and a warm slot reruns the same program
+		e.trips = make([]int32, prog.numLoops)
+	} else {
+		e.trips = e.trips[:prog.numLoops]
+		clear(e.trips)
+	}
 	e.recordBase = 0
 	e.recordCursor = 0
 	e.requests = 0
@@ -157,55 +165,56 @@ func (e *Engine) NextBlock() (trace.BlockEvent, bool) {
 		ev.Mem = e.memBuf
 	}
 
-	// Resolve the successor.
-	var next uint64
+	// Resolve the successor. Every link was checked by NewProgram, and a
+	// fall-through or return site is always the next block.
+	cur := e.cur
+	var next int32
 	switch b.End {
 	case branch.KindFallthrough:
-		next = b.FallThrough()
+		next = cur + 1
 	case branch.KindJump:
-		next = b.Target
+		next = b.target
 		ev.Taken = true
 	case branch.KindCond:
 		taken := false
 		switch b.Behavior {
 		case BehaveLoop:
-			rem, ok := e.trips[b.Addr]
-			if !ok {
+			rem := e.trips[b.aux]
+			if rem == 0 {
 				rem = int32(b.MeanTrips)
 			}
 			if rem > 1 {
 				taken = true
-				e.trips[b.Addr] = rem - 1
+				e.trips[b.aux] = rem - 1
 			} else {
-				delete(e.trips, b.Addr)
+				e.trips[b.aux] = 0
 			}
 		default: // BehaveBiased
 			taken = e.r.Bool(float64(b.Bias))
 		}
 		ev.Taken = taken
 		if taken {
-			next = b.Target
+			next = b.target
 		} else {
-			next = b.FallThrough()
+			next = cur + 1
 		}
 	case branch.KindCall:
 		//lint:ignore hot-noalloc the return stack starts at capacity 64 and doubles to the program's maximum call depth, a static property of the generated call tree
-		e.stack = append(e.stack, b.FallThrough())
-		next = b.Target
+		e.stack = append(e.stack, cur+1)
+		next = b.target
 		ev.Taken = true
 	case branch.KindIndirectCall, branch.KindIndirect:
 		if b.End == branch.KindIndirectCall {
 			//lint:ignore hot-noalloc same call-depth-bounded stack as the direct-call arm above
-			e.stack = append(e.stack, b.FallThrough())
+			e.stack = append(e.stack, cur+1)
 		}
-		if b.Addr == e.prog.dispatcher {
+		if cur == e.prog.dispatcher {
 			// New request: pick a service and rotate the data record.
-			idx := e.prog.serviceChooser.Choose(e.r)
-			next = e.prog.serviceEntries[idx]
+			next = e.prog.services[e.prog.serviceChooser.Choose(e.r)]
 			e.requests++
 			e.newRecord()
 		} else {
-			next = b.ITargets[e.r.Intn(len(b.ITargets))]
+			next = e.prog.itargets[b.aux+int32(e.r.Intn(int(b.nAux)))]
 		}
 		ev.Taken = true
 	case branch.KindReturn:
@@ -218,14 +227,8 @@ func (e *Engine) NextBlock() (trace.BlockEvent, bool) {
 		ev.Taken = true
 	}
 
-	ev.NextAddr = next
-	idx, ok := e.prog.index[next]
-	if !ok {
-		// A successor outside the program would be a generator bug;
-		// recover to the dispatcher to keep the stream alive.
-		idx = e.prog.index[e.prog.dispatcher]
-	}
-	e.cur = idx
+	ev.NextAddr = e.prog.blocks[next].Addr
+	e.cur = next
 	e.instrs += uint64(b.NInstr)
 	return ev, true
 }

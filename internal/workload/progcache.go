@@ -95,13 +95,6 @@ func (c *ProgramCache) Get(p Profile) (*Program, error) {
 	c.mu.Unlock()
 
 	prog, err := NewProgram(p)
-	if err == nil {
-		// Cache-resident programs serve many jobs, so the one-time
-		// class-table pass (see buildClassTable) amortizes to ~zero
-		// here; building before publication keeps Program immutable
-		// from every other goroutine's point of view.
-		prog.buildClassTable()
-	}
 
 	c.mu.Lock()
 	delete(c.inflight, p)

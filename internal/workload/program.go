@@ -32,17 +32,23 @@ const (
 	BehaveBiased          // data-dependent, P(taken) = Bias
 )
 
-// Block is one static basic block.
+// Block is one static basic block. Blocks are laid out contiguously
+// from codeBase in index order, so block i+1 starts at block i's
+// fall-through address. The struct holds no pointers: indirect targets
+// live in the program's side table, and every static successor is
+// linked to a block index when the program is built.
 type Block struct {
 	Addr      uint64
+	Target    uint64 // taken/call target
+	Bias      float32
+	MeanTrips float32
 	NInstr    uint16
 	End       branch.Kind
 	Behavior  Behavior
-	Bias      float32
-	MeanTrips float32
-	Target    uint64   // taken/call target
-	ITargets  []uint64 // indirect-terminator targets
-	IWeights  []float64
+
+	target int32 // block index of Target (cond, jump and call terminators)
+	aux    int32 // BehaveLoop: loop-trip slot; indirect: first entry in Program.itargets
+	nAux   int32 // indirect: number of targets
 }
 
 // FallThrough returns the next sequential block's address.
@@ -56,24 +62,34 @@ func (b *Block) BranchPC() uint64 {
 }
 
 // Program is a complete synthetic binary: the static CFG plus the
-// behavioral metadata the engine executes.
+// behavioral metadata the engine executes. Every table is dense and
+// indexed by block, line or instruction number, so no query on the
+// engine's or front-end's per-block path hashes.
 type Program struct {
 	profile Profile
 
 	blocks []Block
-	index  map[uint64]int32
+	// lineFirst[k] is the index of the first block starting at or after
+	// code line k (address codeBase + 64k); its last entry is
+	// len(blocks). The blocks starting in line k are therefore
+	// blocks[lineFirst[k]:lineFirst[k+1]].
+	lineFirst []int32
+	itargets  []int32 // indirect-terminator targets, as block indices
+	numLoops  int     // loop-trip slots (one per BehaveLoop block)
 
-	dispatcher     uint64 // dispatch-loop head block
-	serviceEntries []uint64
+	dispatcher     int32   // dispatch-loop head block
+	services       []int32 // service entry blocks (the dispatcher's targets)
 	serviceChooser *rng.Chooser
 
 	totalInstrs int
 	classSeed   uint64
+	// classCut holds classOf's cumulative instruction-mix thresholds
+	// (load, store, mul, fp; anything above is ALU).
+	classCut [4]float64
 	// classes caches InstrClass for every PC in the code span, indexed
-	// by (pc-codeBase)/instrBytes; nil until buildClassTable runs. The
-	// class is a pure function of the PC, so the table is exactly the
-	// hash's output precomputed (one byte per instruction, ~footprint/4
-	// extra).
+	// by (pc-codeBase)/instrBytes. The class is a pure function of the
+	// PC, so the table is exactly the hash's output precomputed (one
+	// byte per instruction).
 	classes []trace.Class
 }
 
@@ -91,51 +107,62 @@ func (p *Program) TotalInstrs() int { return p.totalInstrs }
 // bound and, for these workloads, its steady-state value).
 func (p *Program) FootprintBytes() int { return p.totalInstrs * instrBytes }
 
+// lineRange returns the block-index range of the blocks starting in
+// code line line (an absolute line number, address>>6); it is empty
+// for lines outside the code span.
+func (p *Program) lineRange(line uint64) (int32, int32) {
+	// Lines below the span wrap around to huge k and fail the bound.
+	k := line - codeBase>>6
+	if k >= uint64(len(p.lineFirst)-1) {
+		return 0, 0
+	}
+	return p.lineFirst[k], p.lineFirst[k+1]
+}
+
+// blockIndex returns the index of the block starting at addr.
+func (p *Program) blockIndex(addr uint64) (int32, bool) {
+	lo, hi := p.lineRange(addr >> 6)
+	for i := lo; i < hi; i++ {
+		if a := p.blocks[i].Addr; a >= addr {
+			return i, a == addr
+		}
+	}
+	return 0, false
+}
+
 // BlockAt returns the static block starting at addr.
 func (p *Program) BlockAt(addr uint64) (*Block, bool) {
-	if i, ok := p.index[addr]; ok {
+	if i, ok := p.blockIndex(addr); ok {
 		return &p.blocks[i], true
 	}
 	return nil, false
 }
 
-// BlockInfo implements the static-descriptor query of trace.Source.
-func (p *Program) BlockInfo(addr uint64) (branch.BTBEntry, bool) {
-	b, ok := p.BlockAt(addr)
-	if !ok {
-		return branch.BTBEntry{}, false
-	}
+// btbEntry is b's static descriptor as the front-end sees it.
+func (b *Block) btbEntry() branch.BTBEntry {
 	return branch.BTBEntry{
 		Start:     b.Addr,
 		NumInstrs: int(b.NInstr),
 		EndKind:   b.End,
 		Target:    b.Target,
-	}, true
+	}
+}
+
+// BlockInfo implements the static-descriptor query of trace.Source.
+func (p *Program) BlockInfo(addr uint64) (branch.BTBEntry, bool) {
+	i, ok := p.blockIndex(addr)
+	if !ok {
+		return branch.BTBEntry{}, false
+	}
+	return p.blocks[i].btbEntry(), true
 }
 
 // BlocksInLine implements trace.Source's pre-decoder query: all blocks
-// starting within the 64-byte line. Blocks are laid out contiguously
-// in address order, so a binary search finds the first candidate.
+// starting within the 64-byte line, read straight off the line table.
 func (p *Program) BlocksInLine(line uint64, out []branch.BTBEntry) []branch.BTBEntry {
-	lo, hi := line<<6, (line+1)<<6
-	// Binary search for the first block with Addr >= lo.
-	i, j := 0, len(p.blocks)
-	for i < j {
-		mid := (i + j) / 2
-		if p.blocks[mid].Addr < lo {
-			i = mid + 1
-		} else {
-			j = mid
-		}
-	}
-	for ; i < len(p.blocks) && p.blocks[i].Addr < hi; i++ {
-		b := &p.blocks[i]
-		out = append(out, branch.BTBEntry{
-			Start:     b.Addr,
-			NumInstrs: int(b.NInstr),
-			EndKind:   b.End,
-			Target:    b.Target,
-		})
+	lo, hi := p.lineRange(line)
+	for i := lo; i < hi; i++ {
+		out = append(out, p.blocks[i].btbEntry())
 	}
 	return out
 }
@@ -143,10 +170,9 @@ func (p *Program) BlocksInLine(line uint64, out []branch.BTBEntry) []branch.BTBE
 // InstrClass returns the static class of the instruction at pc. Block
 // terminators are classified by the front-end from the block
 // descriptor; for body instructions the class is a deterministic hash
-// of the PC thresholded by the profile's instruction mix. When the
-// per-PC table is built (cache-resident programs; see
-// buildClassTable), in-span PCs — every PC the engine ever emits —
-// are served from it; anything else falls back to the hash, so both
+// of the PC thresholded by the profile's instruction mix. In-span PCs
+// — every PC the engine ever emits — are served from the per-PC table
+// NewProgram builds; anything else falls back to the hash, so both
 // paths return identical values by construction.
 //
 //vet:hot
@@ -165,13 +191,13 @@ func (p *Program) classOf(pc uint64) trace.Class {
 	h := rng.Mix2(p.classSeed, pc)
 	u := float64(h>>11) / (1 << 53)
 	switch {
-	case u < p.profile.LoadFrac:
+	case u < p.classCut[0]:
 		return trace.ClassLoad
-	case u < p.profile.LoadFrac+p.profile.StoreFrac:
+	case u < p.classCut[1]:
 		return trace.ClassStore
-	case u < p.profile.LoadFrac+p.profile.StoreFrac+0.08:
+	case u < p.classCut[2]:
 		return trace.ClassMul
-	case u < p.profile.LoadFrac+p.profile.StoreFrac+0.14:
+	case u < p.classCut[3]:
 		return trace.ClassFP
 	default:
 		return trace.ClassALU
@@ -205,6 +231,9 @@ type generator struct {
 	prog *Program
 	r    *rng.Xoshiro256
 	next uint64 // next block address
+	// itargets collects indirect-terminator targets as addresses while
+	// the layout grows; link resolves them into Program.itargets.
+	itargets []uint64
 }
 
 // NewProgram synthesizes the static program for a profile.
@@ -214,7 +243,6 @@ func NewProgram(profile Profile) (*Program, error) {
 	}
 	prog := &Program{
 		profile:   profile,
-		index:     make(map[uint64]int32),
 		classSeed: rng.Mix2(profile.Seed, 0xc1a55),
 	}
 	g := &generator{
@@ -225,6 +253,11 @@ func NewProgram(profile Profile) (*Program, error) {
 
 	targetInstrs := int(profile.FootprintMB * 1024 * 1024 / instrBytes)
 	hotBudget := int(float64(targetInstrs) * profile.HotLibFrac)
+	// Presize the block table: blockSize's cap at blockMaxInstr and the
+	// two-instruction return blocks pull the mean block below the
+	// profile's (6.2 instructions at a mean of 7), so this estimate
+	// covers the stock profiles with ~10% to spare.
+	prog.blocks = make([]Block, 0, targetInstrs*5/(4*profile.AvgBlockInstr)+1024)
 
 	// 1. Hot shared library: small leaf utility functions.
 	var hotEntries []uint64
@@ -246,44 +279,104 @@ func NewProgram(profile Profile) (*Program, error) {
 	if serviceBudget < 64 {
 		serviceBudget = 64
 	}
+	var serviceEntries []uint64
 	for s := 0; s < profile.NumServices; s++ {
-		entry := g.buildService(serviceBudget, hotEntries)
-		prog.serviceEntries = append(prog.serviceEntries, entry)
+		serviceEntries = append(serviceEntries, g.buildService(serviceBudget, hotEntries))
 	}
 	// The tree builder under-spends its budget (leftover child shares
 	// below the minimum function size are dropped); top the program up
 	// with extra services until the footprint target is met, keeping
 	// Figure 4 calibrated.
 	for prog.totalInstrs < targetInstrs-serviceBudget/2 {
-		entry := g.buildService(serviceBudget, hotEntries)
-		prog.serviceEntries = append(prog.serviceEntries, entry)
+		serviceEntries = append(serviceEntries, g.buildService(serviceBudget, hotEntries))
 	}
 
 	// 3. Dispatcher: an infinite loop indirect-calling one service per
 	// iteration, with Zipf-distributed popularity.
-	weights := make([]float64, len(prog.serviceEntries))
+	weights := make([]float64, len(serviceEntries))
 	for i := range weights {
 		weights[i] = zipfWeight(i, profile.ServiceZipf)
 	}
 	prog.serviceChooser = rng.NewChooser(weights)
 
-	head := g.addBlock(Block{
-		NInstr:   4,
-		End:      branch.KindIndirectCall,
-		ITargets: prog.serviceEntries,
-		IWeights: weights,
-	})
+	prog.dispatcher = int32(len(prog.blocks))
+	head := g.addIndirect(Block{NInstr: 4, End: branch.KindIndirectCall}, serviceEntries)
 	g.addBlock(Block{
 		NInstr: 2,
 		End:    branch.KindJump,
 		Target: head,
 	})
-	prog.dispatcher = head
 
-	if len(prog.blocks) == 0 {
-		return nil, fmt.Errorf("workload %s: generated empty program", profile.Name)
+	if err := g.link(); err != nil {
+		return nil, err
 	}
+	dispatcher := &prog.blocks[prog.dispatcher]
+	prog.services = prog.itargets[dispatcher.aux : dispatcher.aux+dispatcher.nAux]
+	prog.buildClassTable()
 	return prog, nil
+}
+
+// link resolves every static successor to a block index, builds the
+// per-line block table and numbers the loop-trip slots. Any successor
+// that is not a block start is a generator bug and fails the build,
+// which is what lets the engine follow indices without a recovery path.
+func (g *generator) link() error {
+	p := g.prog
+	n := len(p.blocks)
+	if n == 0 {
+		return fmt.Errorf("workload %s: generated empty program", p.profile.Name)
+	}
+	// codeBase is line-aligned, so line k of the span starts at
+	// codeBase + 64k; the final entry is the len(blocks) sentinel.
+	end := codeBase + instrBytes*uint64(p.totalInstrs)
+	p.lineFirst = make([]int32, (end-codeBase+63)>>6+1)
+	i := 0
+	for k := range p.lineFirst {
+		lo := codeBase + uint64(k)<<6
+		for i < n && p.blocks[i].Addr < lo {
+			i++
+		}
+		p.lineFirst[k] = int32(i)
+	}
+
+	resolve := func(b *Block, addr uint64, what string) (int32, error) {
+		if t, ok := p.blockIndex(addr); ok {
+			return t, nil
+		}
+		return 0, fmt.Errorf("workload %s: block %#x: %s %#x is not a block start", p.profile.Name, b.Addr, what, addr)
+	}
+	p.itargets = make([]int32, len(g.itargets))
+	for i := range p.blocks {
+		b := &p.blocks[i]
+		switch b.End {
+		case branch.KindFallthrough, branch.KindCond, branch.KindCall, branch.KindIndirectCall:
+			// The fall-through (or return site) is block i+1.
+			if i+1 == n || p.blocks[i+1].Addr != b.FallThrough() {
+				return fmt.Errorf("workload %s: block %#x: fall-through %#x is not a block start", p.profile.Name, b.Addr, b.FallThrough())
+			}
+		}
+		switch b.End {
+		case branch.KindCond, branch.KindJump, branch.KindCall:
+			t, err := resolve(b, b.Target, "target")
+			if err != nil {
+				return err
+			}
+			b.target = t
+		case branch.KindIndirectCall, branch.KindIndirect:
+			for j := b.aux; j < b.aux+b.nAux; j++ {
+				t, err := resolve(b, g.itargets[j], "indirect target")
+				if err != nil {
+					return err
+				}
+				p.itargets[j] = t
+			}
+		}
+		if b.Behavior == BehaveLoop {
+			b.aux = int32(p.numLoops)
+			p.numLoops++
+		}
+	}
+	return nil
 }
 
 // buildClassTable precomputes the class of every instruction in the
@@ -291,15 +384,12 @@ func NewProgram(profile Profile) (*Program, error) {
 // i maps to PC codeBase + instrBytes*i). The front-end classifies
 // every body instruction of every fetched block, making the class
 // hash one of the hottest pure functions in the simulator; the table
-// turns it into a byte load. Building costs one hash pass over the
-// static footprint, so it runs only when a program enters the shared
-// cache — where many jobs amortize it — and not in NewProgram, which
-// one-shot cold runs pay per job. Idempotent; must complete before
-// the program is published to concurrent readers.
+// turns it into a byte load for one hash pass over the static
+// footprint at build time.
 func (p *Program) buildClassTable() {
-	if p.classes != nil {
-		return
-	}
+	f := &p.profile
+	memFrac := f.LoadFrac + f.StoreFrac
+	p.classCut = [4]float64{f.LoadFrac, memFrac, memFrac + 0.08, memFrac + 0.14}
 	p.classes = make([]trace.Class, p.totalInstrs)
 	for i := range p.classes {
 		p.classes[i] = p.classOf(codeBase + instrBytes*uint64(i))
@@ -323,11 +413,19 @@ func (g *generator) addBlock(b Block) uint64 {
 	if b.NInstr > blockMaxInstr {
 		b.NInstr = blockMaxInstr
 	}
-	g.prog.index[b.Addr] = int32(len(g.prog.blocks))
 	g.prog.blocks = append(g.prog.blocks, b)
 	g.prog.totalInstrs += int(b.NInstr)
 	g.next += instrBytes * uint64(b.NInstr)
 	return b.Addr
+}
+
+// addIndirect appends an indirect-terminated block whose targets are
+// the given block addresses.
+func (g *generator) addIndirect(b Block, targets []uint64) uint64 {
+	b.aux = int32(len(g.itargets))
+	b.nAux = int32(len(targets))
+	g.itargets = append(g.itargets, targets...)
+	return g.addBlock(b)
 }
 
 // blockSize draws a block size around the profile mean.
@@ -351,7 +449,6 @@ type callSite struct {
 // address and the instructions actually emitted.
 func (g *generator) buildFunction(ownInstrs int, calls []callSite, hotEntries []uint64) (uint64, int) {
 	p := g.prog.profile
-	startBlocks := len(g.prog.blocks)
 	entry := uint64(0)
 	emitted := 0
 	callIdx := 0
@@ -371,12 +468,12 @@ func (g *generator) buildFunction(ownInstrs int, calls []callSite, hotEntries []
 			b := Block{NInstr: g.blockSize()}
 			if len(cs.variants) > 0 {
 				b.End = branch.KindIndirectCall
-				b.ITargets = cs.variants
+				record(g.addIndirect(b, cs.variants))
 			} else {
 				b.End = branch.KindCall
 				b.Target = cs.target
+				record(g.addBlock(b))
 			}
-			record(g.addBlock(b))
 			emitted += int(b.NInstr)
 
 		case g.r.Bool(p.LoopFrac):
@@ -427,14 +524,14 @@ func (g *generator) buildFunction(ownInstrs int, calls []callSite, hotEntries []
 				Behavior: BehaveBiased,
 				Bias:     float32(bias),
 			}
-			condAddr := g.addBlock(cond)
-			record(condAddr)
+			condIdx := len(g.prog.blocks)
+			record(g.addBlock(cond))
 			emitted += int(cond.NInstr)
 			then := Block{NInstr: g.blockSize(), End: branch.KindFallthrough}
 			g.addBlock(then)
 			emitted += int(then.NInstr)
 			// Taken path skips the then-block.
-			g.prog.blocks[g.prog.index[condAddr]].Target = g.next
+			g.prog.blocks[condIdx].Target = g.next
 
 		case len(hotEntries) > 0 && g.r.Bool(0.25):
 			// Utility call into the hot library.
@@ -458,7 +555,6 @@ func (g *generator) buildFunction(ownInstrs int, calls []callSite, hotEntries []
 	record(g.addBlock(ret))
 	emitted += int(ret.NInstr)
 
-	_ = startBlocks
 	return entry, emitted
 }
 

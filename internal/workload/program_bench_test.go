@@ -15,7 +15,6 @@ func benchProgram(b *testing.B) *Program {
 	if err != nil {
 		b.Fatal(err)
 	}
-	p.buildClassTable()
 	return p
 }
 
@@ -42,7 +41,6 @@ func TestInstrClassTableMatchesHash(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p.buildClassTable()
 		span := uint64(p.TotalInstrs())
 		for i := uint64(0); i < span; i++ {
 			pc := codeBase + instrBytes*i

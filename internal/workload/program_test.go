@@ -115,12 +115,43 @@ func TestInstrClassStablePerPC(t *testing.T) {
 
 func TestServiceEntriesAreBlocks(t *testing.T) {
 	prog, _ := NewProgram(smallProfile())
-	if len(prog.serviceEntries) < smallProfile().NumServices {
-		t.Fatalf("only %d service entries", len(prog.serviceEntries))
+	if len(prog.services) < smallProfile().NumServices {
+		t.Fatalf("only %d service entries", len(prog.services))
 	}
-	for _, e := range prog.serviceEntries {
-		if _, ok := prog.BlockAt(e); !ok {
-			t.Fatalf("service entry %#x is not a block", e)
+	for _, e := range prog.services {
+		if _, ok := prog.BlockAt(prog.blocks[e].Addr); !ok {
+			t.Fatalf("service entry %d is not a block", e)
+		}
+	}
+}
+
+// TestLinkRejectsDanglingSuccessors pins the build-time check the
+// engine relies on instead of a recovery path: a successor that is not
+// a block start fails the build.
+func TestLinkRejectsDanglingSuccessors(t *testing.T) {
+	cases := []struct {
+		name  string
+		build func(g *generator)
+		ok    bool
+	}{
+		{"self-loop jump", func(g *generator) {
+			g.addBlock(Block{NInstr: 4, End: branch.KindJump, Target: codeBase})
+		}, true},
+		{"jump into a block body", func(g *generator) {
+			g.addBlock(Block{NInstr: 4, End: branch.KindJump, Target: codeBase + instrBytes})
+		}, false},
+		{"fall-through past the end", func(g *generator) {
+			g.addBlock(Block{NInstr: 4, End: branch.KindFallthrough})
+		}, false},
+		{"indirect target outside the program", func(g *generator) {
+			g.addIndirect(Block{NInstr: 4, End: branch.KindIndirect}, []uint64{codeBase + 0x1000})
+		}, false},
+	}
+	for _, tc := range cases {
+		g := &generator{prog: &Program{profile: smallProfile()}, next: codeBase}
+		tc.build(g)
+		if err := g.link(); (err == nil) != tc.ok {
+			t.Errorf("%s: link error = %v, want ok=%v", tc.name, err, tc.ok)
 		}
 	}
 }

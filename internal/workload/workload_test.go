@@ -82,34 +82,41 @@ func TestProgramCFGClosed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Every block's static successors must be block starts.
+	// Every block's static successors must be block starts, and every
+	// build-time link must name the block at its address.
 	for i := range prog.blocks {
 		b := &prog.blocks[i]
 		check := func(addr uint64, what string) {
-			if _, ok := prog.index[addr]; !ok {
+			if _, ok := prog.BlockAt(addr); !ok {
 				t.Fatalf("block %#x: %s %#x is not a block start", b.Addr, what, addr)
+			}
+		}
+		checkLink := func(idx int32, addr uint64, what string) {
+			check(addr, what)
+			if got := prog.blocks[idx].Addr; got != addr {
+				t.Fatalf("block %#x: %s linked to block %#x, want %#x", b.Addr, what, got, addr)
 			}
 		}
 		switch b.End {
 		case branch.KindFallthrough:
-			check(b.FallThrough(), "fallthrough")
+			checkLink(int32(i+1), b.FallThrough(), "fallthrough")
 		case branch.KindCond:
-			check(b.FallThrough(), "fallthrough")
-			check(b.Target, "taken target")
+			checkLink(int32(i+1), b.FallThrough(), "fallthrough")
+			checkLink(b.target, b.Target, "taken target")
 		case branch.KindJump:
-			check(b.Target, "jump target")
+			checkLink(b.target, b.Target, "jump target")
 		case branch.KindCall:
-			check(b.Target, "call target")
-			check(b.FallThrough(), "return site")
+			checkLink(b.target, b.Target, "call target")
+			checkLink(int32(i+1), b.FallThrough(), "return site")
 		case branch.KindIndirectCall, branch.KindIndirect:
-			if len(b.ITargets) == 0 {
+			if b.nAux == 0 {
 				t.Fatalf("block %#x: indirect with no targets", b.Addr)
 			}
-			for _, tgt := range b.ITargets {
-				check(tgt, "indirect target")
+			for _, tgt := range prog.itargets[b.aux : b.aux+b.nAux] {
+				check(prog.blocks[tgt].Addr, "indirect target")
 			}
 			if b.End == branch.KindIndirectCall {
-				check(b.FallThrough(), "return site")
+				checkLink(int32(i+1), b.FallThrough(), "return site")
 			}
 		case branch.KindReturn:
 			// successor dynamic
