@@ -1,8 +1,8 @@
 // Command emissary-hypothesis runs the behavioral hypothesis catalog:
 // paper-derived claims posed as controlled multi-seed experiments,
 // judged CONFIRMED / REFUTED / INCONCLUSIVE, and rendered as markdown
-// reports. It is the third CI gate — golden tests pin bytes,
-// BENCH_hotpath.json pins speed, this pins behavior.
+// reports. It is the third CI gate — golden tests pin bytes, the
+// allocation and cycle-skip tests pin speed, this pins behavior.
 //
 // Exit status: 0 when no hypothesis refutes and every -require ID
 // confirms; 1 on any REFUTED verdict or a required hypothesis that

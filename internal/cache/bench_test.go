@@ -4,29 +4,72 @@ import (
 	"testing"
 
 	"emissary/internal/cache"
-	"emissary/internal/hotbench"
+	"emissary/internal/core"
+	"emissary/internal/rng"
 )
 
-// The benchmark configuration — geometry, policy list, address
-// stream — lives in internal/hotbench so these go-test benchmarks and
-// the BENCH_hotpath.json emitter (cmd/emissary-bench) measure exactly
-// the same workload.
+// benchSets and benchWays are the paper's L2 geometry (1 MB, 64 B
+// lines, 16-way), the cache the hot path spends its time in.
+const (
+	benchSets = 1024
+	benchWays = 16
+)
 
-func newBenchCache(b *testing.B, policyText string) *cache.Cache {
-	b.Helper()
-	c, err := hotbench.New(policyText)
+// benchPolicies spans every treatment family so a regression in one
+// policy's callbacks is visible in its own benchmark row.
+var benchPolicies = []string{
+	"TPLRU",
+	"LRU",
+	"BIP",
+	"M:S&E&R(1/32)",
+	"P(8):S&E&R(1/32)",
+	"SRRIP",
+	"DRRIP",
+	"PDP",
+	"DCLIP",
+	"GHRP",
+}
+
+// benchAddrs returns a fixed-seed line-address stream covering 4x the
+// cache capacity, so steady state sees both hits and misses. n must be
+// a power of two (callers index with i & (n-1)).
+func benchAddrs(n int) []uint64 {
+	r := rng.NewXoshiro256(0xbe7c4)
+	addrs := make([]uint64, n)
+	span := uint64(benchSets * benchWays * 4)
+	for i := range addrs {
+		addrs[i] = r.Uint64() % span
+	}
+	return addrs
+}
+
+// benchFill is the fill every benchmark and the allocation guard use:
+// half the lines are instruction lines, one in eight high priority.
+func benchFill(c *cache.Cache, a uint64) {
+	c.Fill(a, cache.FillSpec{Instr: a%2 == 0, Priority: a%8 == 0})
+}
+
+// newBenchCache builds the benchmark cache for one policy and fills it
+// with addrs, so timed loops measure the full-set path (victim
+// selection), not the cold invalid-way path.
+func newBenchCache(tb testing.TB, policyText string, addrs []uint64) *cache.Cache {
+	tb.Helper()
+	spec, err := core.ParsePolicy(policyText)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
+	}
+	c := cache.NewCache("bench", benchSets, benchWays, spec.Build(benchSets, benchWays, 1))
+	for _, a := range addrs {
+		benchFill(c, a)
 	}
 	return c
 }
 
 func BenchmarkAccess(b *testing.B) {
-	addrs := hotbench.Addrs(1 << 16)
-	for _, pol := range hotbench.Policies {
+	addrs := benchAddrs(1 << 16)
+	for _, pol := range benchPolicies {
 		b.Run(pol, func(b *testing.B) {
-			c := newBenchCache(b, pol)
-			hotbench.Warm(c, addrs)
+			c := newBenchCache(b, pol, addrs)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -38,34 +81,28 @@ func BenchmarkAccess(b *testing.B) {
 }
 
 func BenchmarkFill(b *testing.B) {
-	addrs := hotbench.Addrs(1 << 16)
-	for _, pol := range hotbench.Policies {
+	addrs := benchAddrs(1 << 16)
+	for _, pol := range benchPolicies {
 		b.Run(pol, func(b *testing.B) {
-			c := newBenchCache(b, pol)
-			hotbench.Warm(c, addrs)
+			c := newBenchCache(b, pol, addrs)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				a := addrs[i&(len(addrs)-1)]
-				c.Fill(a, cache.FillSpec{Instr: a%2 == 0, Priority: a%8 == 0})
+				benchFill(c, addrs[i&(len(addrs)-1)])
 			}
 		})
 	}
 }
 
-// TestHotPathNoAllocs is the allocation guard the bench trajectory
-// relies on: Access, Touch, MarkDirty and Fill must stay allocation
-// free for every policy family, or ns/access numbers become garbage
-// collection noise. Run under every `go test` (not only -bench) so a
-// regression fails CI immediately.
+// TestHotPathNoAllocs is the allocation guard for the cache hot path:
+// Access, Touch, MarkDirty and Fill must stay allocation free for
+// every policy family, or ns/access numbers become garbage collection
+// noise. Run under every `go test` (not only -bench) so a regression
+// fails CI immediately.
 func TestHotPathNoAllocs(t *testing.T) {
-	addrs := hotbench.Addrs(1 << 12)
-	for _, pol := range hotbench.Policies {
-		c, err := hotbench.New(pol)
-		if err != nil {
-			t.Fatal(err)
-		}
-		hotbench.Warm(c, addrs)
+	addrs := benchAddrs(1 << 12)
+	for _, pol := range benchPolicies {
+		c := newBenchCache(t, pol, addrs)
 		i := 0
 		next := func() uint64 {
 			a := addrs[i&(len(addrs)-1)]
@@ -79,8 +116,7 @@ func TestHotPathNoAllocs(t *testing.T) {
 			t.Errorf("%s: Access allocates %.1f per op", pol, n)
 		}
 		if n := testing.AllocsPerRun(200, func() {
-			a := next()
-			c.Fill(a, cache.FillSpec{Instr: a%2 == 0, Priority: a%8 == 0})
+			benchFill(c, next())
 		}); n != 0 {
 			t.Errorf("%s: Fill allocates %.1f per op", pol, n)
 		}

@@ -5,7 +5,7 @@
 // by effect-size and direction statistics into a CONFIRMED / REFUTED /
 // INCONCLUSIVE verdict. A confirmed hypothesis becomes a CI-runnable
 // regression on *behavior*, complementing the golden digests (bytes)
-// and BENCH_hotpath.json (speed).
+// and the allocation and cycle-skip gates (speed).
 //
 // The methodology follows inference-sim's hypotheses/ discipline:
 // identify a hypothesis family, pose an intuitive behavioral claim,

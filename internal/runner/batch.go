@@ -31,8 +31,9 @@ const DefaultMaxBatch = 32
 // slot racks, plus the grouping plan's scratch. Like WarmPool, worker
 // indices partition it — each rack is only touched by its own worker
 // goroutine — and the caller must not use one BatchPool from two
-// concurrent RunSimsStats calls. The throughput bench owns one across
-// sweep windows to measure steady-state batches with zero allocations.
+// concurrent RunSimsStats calls. TestSimsBatchZeroAllocsPerJob owns one
+// across sweep windows to measure steady-state batches with zero
+// allocations.
 type BatchPool struct {
 	racks []*batchRack
 	plan  batchPlan

@@ -148,7 +148,7 @@ func TestSimsBatchFailedMemberDiscardsOwnSlot(t *testing.T) {
 }
 
 // TestSimsBatchPoolReuse reuses one caller-owned BatchPool across
-// consecutive sweeps (the throughput bench's steady-state pattern):
+// consecutive sweeps (the allocation tests' steady-state pattern):
 // every round stays byte-identical to cold and the racks stay warm.
 func TestSimsBatchPoolReuse(t *testing.T) {
 	jobs := warmPoolJobs(t)
@@ -169,6 +169,17 @@ func TestSimsBatchPoolReuse(t *testing.T) {
 		if pool.racks[0].exec == nil || pool.racks[0].slots[0] == nil {
 			t.Fatalf("round %d: pool rack not populated", round)
 		}
+	}
+}
+
+// TestSimsBatchZeroAllocsPerJob extends the warm pool's allocs/job == 0
+// contract to the batched path (DESIGN.md §15): with the batch pool's
+// executors, member racks and grouping scratch primed on the full
+// sweep, a single-worker batched sweep allocates nothing per job.
+func TestSimsBatchZeroAllocsPerJob(t *testing.T) {
+	cfg := SimsConfig{Workers: 1, WarmPool: make([]*sim.Warm, 1), Batch: NewBatchPool()}
+	if got := steadyAllocsPerJob(t, allocSweepJobs(t), cfg); got != 0 {
+		t.Errorf("batched sweep allocates %v per job in steady state, want 0", got)
 	}
 }
 

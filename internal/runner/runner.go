@@ -341,13 +341,13 @@ type SimsConfig struct {
 	// constructs its hierarchy, core, and workload engine from scratch.
 	// The pool is on by default because warm runs are byte-identical to
 	// cold ones by contract (pinned by the sim package's warm-vs-cold
-	// lockstep and fuzz suites); ColdStart exists as the throughput
-	// bench's baseline and as a diagnostic escape hatch.
+	// lockstep and fuzz suites); ColdStart exists as the reference the
+	// warm-pool tests compare against and as a diagnostic escape hatch.
 	ColdStart bool
 	// WarmPool, when non-nil, supplies the per-worker slot rack itself,
 	// so a caller can keep slots alive across RunSimsStats calls — the
-	// throughput bench does this to measure pure steady-state batches
-	// with no construction noise. It must hold at least
+	// allocation tests and perfbench do this to measure steady-state
+	// sweeps with no construction noise. It must hold at least
 	// Workers(cfg.Workers) entries (nil entries are populated on first
 	// use, and a slot discarded after a failed job leaves nil behind);
 	// the caller must not touch the rack while the sweep runs. Ignored
@@ -358,8 +358,8 @@ type SimsConfig struct {
 	// architectural stream. Batching is on by default because batched
 	// runs are byte-identical to sequential ones by contract (pinned by
 	// the sim package's batch differential and fuzz suites); NoBatch
-	// exists as the throughput bench's warm-only baseline and as a
-	// diagnostic escape hatch. Batching also stands down on its own
+	// exists as the warm-only baseline (-batch=false on the CLIs) and as
+	// a diagnostic escape hatch. Batching also stands down on its own
 	// whenever grouping cannot apply: under ColdStart, with a positive
 	// JobTimeout (a whole-batch deadline would change per-job timeout
 	// semantics), with a fault injector (see Inject), for trace
@@ -371,9 +371,9 @@ type SimsConfig struct {
 	MaxBatch int
 	// Batch, when non-nil, supplies the batched path's reusable state
 	// (per-worker executors and grouping scratch) so a caller can keep
-	// it alive across RunSimsStats calls — the throughput bench does,
-	// to measure steady-state batched sweeps at zero allocations. The
-	// caller must not use one BatchPool from two concurrent sweeps.
+	// it alive across RunSimsStats calls — the batched allocation test
+	// does, to measure steady-state batched sweeps at zero allocations.
+	// The caller must not use one BatchPool from two concurrent sweeps.
 	Batch *BatchPool
 	// Warn receives non-fatal degradation notices (currently: the one
 	// journal-disable notice under JournalDegrade). Nil discards them.

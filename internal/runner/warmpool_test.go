@@ -2,11 +2,15 @@ package runner
 
 import (
 	"context"
+	"math"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
+	"emissary/internal/core"
 	"emissary/internal/sim"
+	"emissary/internal/workload"
 )
 
 func warmPoolJobs(t *testing.T) []sim.Options {
@@ -68,6 +72,77 @@ func TestSimsWarmPoolCallerRack(t *testing.T) {
 		if rack[0] == nil {
 			t.Fatalf("round %d: clean sweep did not return the slot to the rack", round)
 		}
+	}
+}
+
+// allocSweepJobs is the sweep the allocation tests difference: two
+// footprints crossed with four treatment families, each job with its
+// own seed, appended to itself. The second half replays the first, so
+// by the time it runs every structure the sweep retains is at capacity.
+func allocSweepJobs(t *testing.T) []sim.Options {
+	t.Helper()
+	var jobs []sim.Options
+	for _, pol := range []string{"TPLRU", "P(8):S&E&R(1/32)", "SRRIP", "GHRP"} {
+		for _, bench := range []string{"xapian", "tomcat"} {
+			p, ok := workload.ProfileByName(bench)
+			if !ok {
+				t.Fatalf("%s profile missing", bench)
+			}
+			opt := sim.DefaultOptions(p, core.MustParsePolicy(pol))
+			opt.WarmupInstrs = 2_000
+			opt.MeasureInstrs = 20_000
+			opt.Seed = uint64(len(jobs))
+			jobs = append(jobs, opt)
+		}
+	}
+	return append(jobs, jobs...)
+}
+
+// steadyAllocsPerJob is the heap allocation count per job of a
+// single-worker sweep of jobs under cfg in its steady state, by window
+// differencing. One pass over jobs primes cfg's caller-owned state;
+// then the first half of jobs and all of jobs run under the runtime's
+// exact malloc counters at GOMAXPROCS(1), and the difference divided
+// by the extra jobs cancels every per-call cost. A rare one-off, such
+// as a census-arena doubling or the runtime growing its timer heap, can
+// land in one window; a true per-job cost shows in every pair. So the
+// result is the pair with the least absolute count of five.
+func steadyAllocsPerJob(t *testing.T, jobs []sim.Options, cfg SimsConfig) float64 {
+	t.Helper()
+	ctx := context.Background()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	if _, err := RunSimsStats(ctx, jobs, cfg); err != nil {
+		t.Fatal(err)
+	}
+	mallocs := func(js []sim.Options) int64 {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		if _, err := RunSimsStats(ctx, js, cfg); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return int64(after.Mallocs - before.Mallocs)
+	}
+	half := len(jobs) / 2
+	best := math.Inf(1)
+	for pair := 0; pair < 5; pair++ {
+		m0 := mallocs(jobs[:half])
+		perJob := float64(mallocs(jobs)-m0) / float64(len(jobs)-half)
+		if math.Abs(perJob) < math.Abs(best) {
+			best = perJob
+		}
+	}
+	return best
+}
+
+// TestSimsWarmPoolZeroAllocsPerJob is the warm pool's allocs/job == 0
+// contract (DESIGN.md §14): once its slot is primed, a single-worker
+// sweep allocates nothing per job.
+func TestSimsWarmPoolZeroAllocsPerJob(t *testing.T) {
+	cfg := SimsConfig{Workers: 1, WarmPool: make([]*sim.Warm, 1), NoBatch: true}
+	if got := steadyAllocsPerJob(t, allocSweepJobs(t), cfg); got != 0 {
+		t.Errorf("warm sweep allocates %v per job in steady state, want 0", got)
 	}
 }
 

@@ -17,7 +17,7 @@ import (
 // one workload engine, plus small derived-value caches, all reset in
 // place between runs instead of rebuilt. A sweep worker that owns a
 // slot runs job after job with zero per-job allocations on the steady
-// path (the sweep-throughput section of the hotpath bench pins this).
+// path (the runner's TestSimsWarmPoolZeroAllocsPerJob pins this).
 //
 // The correctness contract is absolute: a warm run produces results
 // byte-identical to the package-level RunContextStats with the same
@@ -227,8 +227,8 @@ func (w *Warm) censusBuf(n int) []int {
 		// The floor is generous (512 KB, several thousand jobs' worth)
 		// and each replacement doubles, so arena allocation is a
 		// vanishing rarity rather than a periodic blip inside an
-		// otherwise allocation-free sweep — the throughput bench's
-		// differenced windows rely on that.
+		// otherwise allocation-free sweep — the runner's allocation
+		// tests and perfbench's runner.allocs_per_job rely on that.
 		size := 2 * len(w.censusArena)
 		if size < 1<<16 {
 			size = 1 << 16

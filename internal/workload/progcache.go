@@ -55,8 +55,8 @@ const DefaultProgramCacheSize = 32
 
 // SharedPrograms is the process-wide cache every simulation path —
 // warm slots, batch executors, and the plain cold runner excepted —
-// draws from. Cold runs deliberately bypass it so the throughput
-// bench's cold baseline keeps paying full construction cost.
+// draws from. Cold runs deliberately bypass it so perfbench's cold
+// baseline (sim.cold_job_ms) keeps paying full construction cost.
 var SharedPrograms = NewProgramCache(DefaultProgramCacheSize)
 
 // NewProgramCache returns an empty cache bounded to capacity entries
