@@ -128,3 +128,31 @@ func TestHotPathNoAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestAccessAndFillExactMallocs counts every allocation over a whole
+// pass of the address stream, per policy, for Access and for Fill.
+// testing.AllocsPerRun truncates its per-run average, so with one call
+// per run, as in TestHotPathNoAllocs, a path that allocates on fewer
+// than every call reads as 0; with the whole pass as one run the count
+// is exact. The static hot-noalloc pass does not follow the interface
+// calls into a policy's OnHit or OnFill, so this test is the gate for
+// an occasional allocation there.
+func TestAccessAndFillExactMallocs(t *testing.T) {
+	addrs := benchAddrs(1 << 14)
+	mallocs := func(op func(a uint64)) float64 {
+		return testing.AllocsPerRun(1, func() {
+			for _, a := range addrs {
+				op(a)
+			}
+		})
+	}
+	for _, pol := range benchPolicies {
+		c := newBenchCache(t, pol, addrs)
+		if n := mallocs(func(a uint64) { c.Access(a, a%2 == 0) }); n != 0 {
+			t.Errorf("%s: %.0f allocations over %d Access calls", pol, n, len(addrs))
+		}
+		if n := mallocs(func(a uint64) { benchFill(c, a) }); n != 0 {
+			t.Errorf("%s: %.0f allocations over %d Fill calls", pol, n, len(addrs))
+		}
+	}
+}

@@ -75,40 +75,44 @@ func TestSkipDifferentialFuzz(t *testing.T) {
 	}
 }
 
-// TestSkipEngagesOnBuiltinWorkloads keeps the cycle skipper from
-// silently rotting into never engaging on the built-in workloads.
-// Without FDIP the front end stalls on demand misses, so some cycles
-// must be skipped. With no prefetching at all and a 4-entry MSHR file
-// misses serialize, so most cycles must be skipped.
-func TestSkipEngagesOnBuiltinWorkloads(t *testing.T) {
-	cases := []struct {
-		bench, policy string
-		nlp           bool
-		maxMSHRs      int     // 0 = model default
-		minFraction   float64 // 0 = any skipped cycle will do
-	}{
-		{"xapian", "TPLRU", true, 0, 0},
-		{"tomcat", "TPLRU", false, 4, 0.5},
-		{"tomcat", "LRU", false, 4, 0.5},
-		{"verilator", "TPLRU", false, 4, 0.5},
-		{"verilator", "LRU", false, 4, 0.5},
+// noFDIPSkippedFraction runs a short built-in workload with FDIP off
+// and returns the share of its cycles the skipper fast-forwarded.
+// maxMSHRs 0 keeps the model default.
+func noFDIPSkippedFraction(t *testing.T, benchName, policy string, nlp bool, maxMSHRs int) float64 {
+	t.Helper()
+	bench, _ := workload.ProfileByName(benchName)
+	opt := sim.DefaultOptions(bench, core.MustParsePolicy(policy))
+	opt.WarmupInstrs = 10_000
+	opt.MeasureInstrs = 40_000
+	opt.FDIP = false
+	opt.NLP = nlp
+	opt.MaxMSHRs = maxMSHRs
+	opt.Seed = 1
+	_, stats, err := sim.RunContextStats(context.Background(), opt)
+	if err != nil {
+		t.Fatalf("%s/%s: %v", benchName, policy, err)
 	}
-	for _, tc := range cases {
-		bench, _ := workload.ProfileByName(tc.bench)
-		opt := sim.DefaultOptions(bench, core.MustParsePolicy(tc.policy))
-		opt.WarmupInstrs = 10_000
-		opt.MeasureInstrs = 40_000
-		opt.FDIP = false
-		opt.NLP = tc.nlp
-		opt.MaxMSHRs = tc.maxMSHRs
-		opt.Seed = 1
-		_, stats, err := sim.RunContextStats(context.Background(), opt)
-		if err != nil {
-			t.Fatalf("%s/%s: %v", tc.bench, tc.policy, err)
-		}
-		if f := stats.SkippedFraction(); f == 0 || f < tc.minFraction {
-			t.Errorf("%s/%s nlp=%v mshrs=%d: skipped cycle fraction %.3f, want > 0 and >= %.2f",
-				tc.bench, tc.policy, tc.nlp, tc.maxMSHRs, f, tc.minFraction)
+	return stats.SkippedFraction()
+}
+
+// TestSkipEngagesWithoutFDIP keeps the cycle skipper from silently
+// rotting into never engaging on the built-in workloads: without FDIP
+// the front end stalls on demand misses, so some cycles must be
+// skipped.
+func TestSkipEngagesWithoutFDIP(t *testing.T) {
+	if f := noFDIPSkippedFraction(t, "xapian", "TPLRU", true, 0); f == 0 {
+		t.Error("xapian/TPLRU without FDIP: no cycle was skipped")
+	}
+}
+
+// TestSkipEngagesStallHeavy requires most cycles to be skipped where
+// misses serialize: no prefetching at all and a 4-entry MSHR file.
+func TestSkipEngagesStallHeavy(t *testing.T) {
+	for _, bench := range []string{"tomcat", "verilator"} {
+		for _, policy := range []string{"TPLRU", "LRU"} {
+			if f := noFDIPSkippedFraction(t, bench, policy, false, 4); f < 0.5 {
+				t.Errorf("%s/%s: skipped cycle fraction %.3f, want >= 0.50", bench, policy, f)
+			}
 		}
 	}
 }
