@@ -95,64 +95,38 @@ func BenchmarkFill(b *testing.B) {
 }
 
 // TestHotPathNoAllocs is the allocation guard for the cache hot path:
-// Access, Touch, MarkDirty and Fill must stay allocation free for
+// Access, Fill, Touch and MarkDirty must stay allocation free for
 // every policy family, or ns/access numbers become garbage collection
-// noise. Run under every `go test` (not only -bench) so a regression
-// fails CI immediately.
+// noise. Each operation runs over a whole pass of the address stream
+// as one testing.AllocsPerRun run, so the count is exact: AllocsPerRun
+// truncates its per-run average, and with one call per run a path that
+// allocates on fewer than every call would read as 0. The static
+// hot-noalloc pass does not follow the interface calls into a policy's
+// OnHit or OnFill, so this test is the gate for an occasional
+// allocation there. Run under every `go test` (not only -bench) so a
+// regression fails CI immediately.
 func TestHotPathNoAllocs(t *testing.T) {
-	addrs := benchAddrs(1 << 12)
-	for _, pol := range benchPolicies {
-		c := newBenchCache(t, pol, addrs)
-		i := 0
-		next := func() uint64 {
-			a := addrs[i&(len(addrs)-1)]
-			i++
-			return a
-		}
-		if n := testing.AllocsPerRun(200, func() {
-			a := next()
-			c.Access(a, a%2 == 0)
-		}); n != 0 {
-			t.Errorf("%s: Access allocates %.1f per op", pol, n)
-		}
-		if n := testing.AllocsPerRun(200, func() {
-			benchFill(c, next())
-		}); n != 0 {
-			t.Errorf("%s: Fill allocates %.1f per op", pol, n)
-		}
-		if n := testing.AllocsPerRun(200, func() {
-			c.Touch(next())
-			c.MarkDirty(next())
-		}); n != 0 {
-			t.Errorf("%s: Touch/MarkDirty allocate %.1f per op", pol, n)
-		}
-	}
-}
-
-// TestAccessAndFillExactMallocs counts every allocation over a whole
-// pass of the address stream, per policy, for Access and for Fill.
-// testing.AllocsPerRun truncates its per-run average, so with one call
-// per run, as in TestHotPathNoAllocs, a path that allocates on fewer
-// than every call reads as 0; with the whole pass as one run the count
-// is exact. The static hot-noalloc pass does not follow the interface
-// calls into a policy's OnHit or OnFill, so this test is the gate for
-// an occasional allocation there.
-func TestAccessAndFillExactMallocs(t *testing.T) {
 	addrs := benchAddrs(1 << 14)
-	mallocs := func(op func(a uint64)) float64 {
-		return testing.AllocsPerRun(1, func() {
-			for _, a := range addrs {
-				op(a)
-			}
-		})
+	ops := []struct {
+		name string
+		do   func(c *cache.Cache, a uint64)
+	}{
+		{"Access", func(c *cache.Cache, a uint64) { c.Access(a, a%2 == 0) }},
+		{"Fill", benchFill},
+		{"Touch", (*cache.Cache).Touch},
+		{"MarkDirty", (*cache.Cache).MarkDirty},
 	}
 	for _, pol := range benchPolicies {
 		c := newBenchCache(t, pol, addrs)
-		if n := mallocs(func(a uint64) { c.Access(a, a%2 == 0) }); n != 0 {
-			t.Errorf("%s: %.0f allocations over %d Access calls", pol, n, len(addrs))
-		}
-		if n := mallocs(func(a uint64) { benchFill(c, a) }); n != 0 {
-			t.Errorf("%s: %.0f allocations over %d Fill calls", pol, n, len(addrs))
+		for _, op := range ops {
+			n := testing.AllocsPerRun(1, func() {
+				for _, a := range addrs {
+					op.do(c, a)
+				}
+			})
+			if n != 0 {
+				t.Errorf("%s: %.0f allocations over %d %s calls", pol, n, len(addrs), op.name)
+			}
 		}
 	}
 }
