@@ -101,10 +101,10 @@ func BenchmarkFill(b *testing.B) {
 // as one testing.AllocsPerRun run, so the count is exact: AllocsPerRun
 // truncates its per-run average, and with one call per run a path that
 // allocates on fewer than every call would read as 0. The static
-// hot-noalloc pass does not follow the interface calls into a policy's
-// OnHit or OnFill, so this test is the gate for an occasional
-// allocation there. Run under every `go test` (not only -bench) so a
-// regression fails CI immediately.
+// hot-noalloc pass covers the same code through its //vet:hot seeds on
+// every policy callback; this test is the dynamic gate. Run under
+// every `go test` (not only -bench) so a regression fails CI
+// immediately.
 func TestHotPathNoAllocs(t *testing.T) {
 	addrs := benchAddrs(1 << 14)
 	ops := []struct {

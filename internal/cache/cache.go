@@ -13,7 +13,9 @@ import (
 	"emissary/internal/stats"
 )
 
-// Line is one cache line's bookkeeping state.
+// Line is one cache line's state, as Probe, Invalidate and Eviction
+// report it. The cache itself stores lines as a tag array plus per-set
+// masks (see Cache).
 type Line struct {
 	Tag      uint64
 	Valid    bool
@@ -23,33 +25,60 @@ type Line struct {
 	SFL      bool // served-from-last-level (L2 only): filled from L3
 }
 
+// setState is one set's line state apart from its tags: bit w of each
+// mask describes way w. high, instr, dirty and sfl are subsets of
+// valid; an invalid way has no bit set in any of them.
+type setState struct {
+	valid uint32
+	high  uint32 // EMISSARY P bit
+	instr uint32
+	dirty uint32
+	sfl   uint32
+}
+
+// drop clears every bit of the ways in bit.
+func (st *setState) drop(bit uint32) {
+	st.valid &^= bit
+	st.high &^= bit
+	st.instr &^= bit
+	st.dirty &^= bit
+	st.sfl &^= bit
+}
+
+// with returns mask with bit set when on and cleared otherwise.
+func with(mask, bit uint32, on bool) uint32 {
+	if on {
+		return mask | bit
+	}
+	return mask &^ bit
+}
+
 // Cache is a set-associative cache. Addresses given to the cache are
 // line addresses (byte address >> lineShift); the cache derives the
 // set index and tag itself.
 //
-// The per-access loop is allocation free and scans each set at most
-// once per operation: the set geometry (shift/mask) is precomputed at
-// construction, and the per-set occupancy masks handed to the policy
-// are maintained incrementally as lines change rather than re-derived
-// by scanning (see DESIGN.md §9, "Hot-path invariants").
+// Storage is a dense tag array plus one setState of masks per set.
+// The masks are the line state itself, so the policy's SetView is a
+// copy of three of them and is never re-derived. A lookup compares
+// tags only and checks the valid bit on a match; a fill takes its free
+// way from the valid mask. Every operation scans at most one set once,
+// and the per-access loop is allocation free (see DESIGN.md §9,
+// "Hot-path invariants").
 type Cache struct {
 	name string
 	sets int
 	ways int
 
-	// Precomputed geometry: set() masks with setMask, tag() shifts by
-	// setShift. Computing log2(sets) lazily on every access used to
-	// dominate the lookup cost.
+	// Precomputed geometry: the set index is lineAddr&setMask and the
+	// tag is lineAddr>>setShift. Computing log2(sets) lazily on every
+	// access used to dominate the lookup cost.
 	setShift uint
 	setMask  uint64
 
-	lines []Line
-	views []policy.LineView
-	// Per-set occupancy masks, maintained by syncView: bit w of
-	// valid[s] / high[s] / instr[s] mirrors lines[s*ways+w].
-	valid []uint32
-	high  []uint32
-	instr []uint32
+	// tags[s*ways+w] is the tag of way w of set s; it means nothing
+	// unless the way's valid bit is set.
+	tags  []uint64
+	state []setState
 	pol   policy.Policy
 
 	// Demand statistics split by request class.
@@ -66,9 +95,9 @@ type Cache struct {
 }
 
 // NewCache builds a cache with the given geometry and policy. Sets
-// must be a power of two: set() masks with sets-1, so any other
-// geometry would silently alias distinct sets onto the same index and
-// corrupt every downstream statistic. Way counts are bounded by the
+// must be a power of two: the set index masks with sets-1, so any
+// other geometry would silently alias distinct sets onto the same
+// index and corrupt every downstream statistic. Way counts are bounded by the
 // 32-bit occupancy masks (matching policy.checkGeometry).
 func NewCache(name string, sets, ways int, pol policy.Policy) *Cache {
 	if sets <= 0 || sets&(sets-1) != 0 {
@@ -83,30 +112,24 @@ func NewCache(name string, sets, ways int, pol policy.Policy) *Cache {
 		ways:     ways,
 		setShift: uint(log2(sets)),
 		setMask:  uint64(sets - 1),
-		lines:    make([]Line, sets*ways),
-		views:    make([]policy.LineView, sets*ways),
-		valid:    make([]uint32, sets),
-		high:     make([]uint32, sets),
-		instr:    make([]uint32, sets),
+		tags:     make([]uint64, sets*ways),
+		state:    make([]setState, sets),
 		pol:      pol,
 	}
 }
 
 // Reset returns the cache to its post-construction state — every line
-// invalid, the per-set occupancy masks empty, every statistic zero —
-// and swaps in the (already reset) replacement policy for the next
-// run. Geometry is untouched: callers guarantee the new run uses the
-// same sets/ways (Hierarchy.Reset checks and falls back to fresh
-// construction otherwise). It allocates nothing, which is what makes
-// warm-pool reuse a pure win over reconstruction.
+// invalid, every statistic zero — and swaps in the (already reset)
+// replacement policy for the next run. Geometry is untouched: callers
+// guarantee the new run uses the same sets/ways (Hierarchy.Reset
+// checks and falls back to fresh construction otherwise). It
+// allocates nothing, which is what makes warm-pool reuse a pure win
+// over reconstruction.
 //
 //vet:hot
 func (c *Cache) Reset(pol policy.Policy) {
-	clear(c.lines)
-	clear(c.views)
-	clear(c.valid)
-	clear(c.high)
-	clear(c.instr)
+	clear(c.tags)
+	clear(c.state)
 	c.pol = pol
 	c.InstrStats = stats.CacheCounters{}
 	c.DataStats = stats.CacheCounters{}
@@ -130,14 +153,6 @@ func (c *Cache) Ways() int { return c.ways }
 // Policy returns the replacement policy.
 func (c *Cache) Policy() policy.Policy { return c.pol }
 
-func (c *Cache) set(lineAddr uint64) int {
-	return int(lineAddr & c.setMask)
-}
-
-func (c *Cache) tag(lineAddr uint64) uint64 {
-	return lineAddr >> c.setShift
-}
-
 func log2(n int) int {
 	k := 0
 	for 1<<uint(k) < n {
@@ -146,39 +161,59 @@ func log2(n int) int {
 	return k
 }
 
-// locate derives the set geometry once and scans the set once,
-// returning the set index, the set's base offset into the line
-// arrays, and the way holding lineAddr (-1 on miss). Every lookup
-// entry point funnels through here so no operation derives the set or
-// tag twice, and none scans a set more than once.
+// locate derives the set geometry once and scans the set's tags once,
+// returning the set index and the valid way holding lineAddr (-1 on
+// miss). Every lookup entry point funnels through here so no
+// operation derives the set or tag twice, and none scans a set more
+// than once.
 //
 //vet:hot
-func (c *Cache) locate(lineAddr uint64) (s, base, way int) {
+func (c *Cache) locate(lineAddr uint64) (s, way int) {
 	s = int(lineAddr & c.setMask)
-	base = s * c.ways
 	t := lineAddr >> c.setShift
-	set := c.lines[base : base+c.ways]
-	for w := range set {
-		if set[w].Valid && set[w].Tag == t {
-			return s, base, w
+	valid := c.state[s].valid
+	base := s * c.ways
+	for w, tag := range c.tags[base : base+c.ways] {
+		if tag == t && valid&(1<<uint(w)) != 0 {
+			return s, w
 		}
 	}
-	return s, base, -1
+	return s, -1
 }
 
-// find returns the way holding lineAddr, or -1.
-func (c *Cache) find(lineAddr uint64) int {
-	_, _, w := c.locate(lineAddr)
-	return w
+// line returns way w of set s; an invalid way reads as the zero Line.
+func (c *Cache) line(s, w int) Line {
+	st := &c.state[s]
+	bit := uint32(1) << uint(w)
+	if st.valid&bit == 0 {
+		return Line{}
+	}
+	return Line{
+		Tag:      c.tags[s*c.ways+w],
+		Valid:    true,
+		Dirty:    st.dirty&bit != 0,
+		Instr:    st.instr&bit != 0,
+		Priority: st.high&bit != 0,
+		SFL:      st.sfl&bit != 0,
+	}
+}
+
+// view is the policy's view of set s: a copy of three of its masks.
+func (c *Cache) view(s int) policy.SetView {
+	st := &c.state[s]
+	return policy.SetView{Valid: st.valid, High: st.high, Instr: st.instr}
 }
 
 // Contains reports presence without side effects.
-func (c *Cache) Contains(lineAddr uint64) bool { return c.find(lineAddr) >= 0 }
+func (c *Cache) Contains(lineAddr uint64) bool {
+	_, w := c.locate(lineAddr)
+	return w >= 0
+}
 
 // Probe reports presence and the line state without side effects.
 func (c *Cache) Probe(lineAddr uint64) (Line, bool) {
-	if _, base, w := c.locate(lineAddr); w >= 0 {
-		return c.lines[base+w], true
+	if s, w := c.locate(lineAddr); w >= 0 {
+		return c.line(s, w), true
 	}
 	return Line{}, false
 }
@@ -189,7 +224,16 @@ func (c *Cache) Probe(lineAddr uint64) (Line, bool) {
 //
 //vet:hot
 func (c *Cache) Access(lineAddr uint64, instr bool) bool {
-	s, base, w := c.locate(lineAddr)
+	return c.access(lineAddr, instr, false)
+}
+
+// access is Access that also marks a hit line dirty when store is
+// set, so a store hit needs one lookup. Policies never see the dirty
+// bit, so OnHit is called exactly as for a load.
+//
+//vet:hot
+func (c *Cache) access(lineAddr uint64, instr, store bool) bool {
+	s, w := c.locate(lineAddr)
 	counters := &c.DataStats
 	if instr {
 		counters = &c.InstrStats
@@ -199,7 +243,10 @@ func (c *Cache) Access(lineAddr uint64, instr bool) bool {
 		return false
 	}
 	counters.Hits++
-	c.pol.OnHit(s, w, c.setView(s, base))
+	if store {
+		c.state[s].dirty |= 1 << uint(w)
+	}
+	c.pol.OnHit(s, w, c.view(s))
 	return true
 }
 
@@ -207,55 +254,15 @@ func (c *Cache) Access(lineAddr uint64, instr bool) bool {
 // counting statistics (used when a store hits a line a load already
 // touched this cycle, and similar bookkeeping).
 func (c *Cache) Touch(lineAddr uint64) {
-	if s, base, w := c.locate(lineAddr); w >= 0 {
-		c.pol.OnHit(s, w, c.setView(s, base))
+	if s, w := c.locate(lineAddr); w >= 0 {
+		c.pol.OnHit(s, w, c.view(s))
 	}
 }
 
 // MarkDirty sets the dirty bit on a present line.
 func (c *Cache) MarkDirty(lineAddr uint64) {
-	if _, base, w := c.locate(lineAddr); w >= 0 {
-		c.lines[base+w].Dirty = true
-	}
-}
-
-// setView assembles the policy's view of set s: the line metadata
-// slice plus the incrementally maintained occupancy masks. It
-// allocates nothing — the slice header aliases the backing array.
-func (c *Cache) setView(s, base int) policy.SetView {
-	return policy.SetView{
-		Lines: c.views[base : base+c.ways],
-		Valid: c.valid[s],
-		High:  c.high[s],
-		Instr: c.instr[s],
-	}
-}
-
-// syncView refreshes the policy-visible metadata and occupancy masks
-// for one line. Every mutation of c.lines funnels through here, which
-// is what keeps the masks trustworthy without per-access rescans.
-func (c *Cache) syncView(s, w int) {
-	l := &c.lines[s*c.ways+w]
-	c.views[s*c.ways+w] = policy.LineView{
-		Valid:    l.Valid,
-		Priority: l.Priority,
-		Instr:    l.Instr,
-	}
-	bit := uint32(1) << uint(w)
-	if l.Valid {
-		c.valid[s] |= bit
-	} else {
-		c.valid[s] &^= bit
-	}
-	if l.Valid && l.Priority {
-		c.high[s] |= bit
-	} else {
-		c.high[s] &^= bit
-	}
-	if l.Valid && l.Instr {
-		c.instr[s] |= bit
-	} else {
-		c.instr[s] &^= bit
+	if s, w := c.locate(lineAddr); w >= 0 {
+		c.state[s].dirty |= 1 << uint(w)
 	}
 }
 
@@ -281,48 +288,63 @@ type Eviction struct {
 //
 //vet:hot
 func (c *Cache) Fill(lineAddr uint64, spec FillSpec) Eviction {
-	s := int(lineAddr & c.setMask)
-	base := s * c.ways
-	t := lineAddr >> c.setShift
+	ev, _ := c.fill(lineAddr, spec)
+	return ev
+}
+
+// fill is Fill that also returns the way now holding lineAddr.
+//
+//vet:hot
+func (c *Cache) fill(lineAddr uint64, spec FillSpec) (Eviction, int) {
+	s, hit := c.locate(lineAddr)
+	if hit < 0 {
+		return c.install(s, lineAddr, spec)
+	}
 	if spec.Prefetch {
 		c.PrefetchFills++
 	}
-
-	// One pass records both the hit way and the first invalid way;
-	// Fill used to scan the set twice (a find, then an invalid-way
-	// search).
-	hit, spare := -1, -1
-	set := c.lines[base : base+c.ways]
-	for w := range set {
-		if !set[w].Valid {
-			if spare < 0 {
-				spare = w
-			}
-			continue
-		}
-		if set[w].Tag == t {
-			hit = w
-			break
-		}
+	st := &c.state[s]
+	bit := uint32(1) << uint(hit)
+	if spec.Dirty {
+		st.dirty |= bit
 	}
-
-	if hit >= 0 {
-		l := &c.lines[base+hit]
-		l.Dirty = l.Dirty || spec.Dirty
-		l.Priority = l.Priority || spec.Priority
-		c.syncView(s, hit)
-		return Eviction{}
+	if spec.Priority {
+		st.high |= bit
 	}
+	return Eviction{}, hit
+}
 
-	way := spare
+// insert is Fill for a line the caller has just looked up and missed
+// here, with nothing installed in this cache since: it skips the
+// lookup, whose answer is known.
+//
+//vet:hot
+func (c *Cache) insert(lineAddr uint64, spec FillSpec) Eviction {
+	ev, _ := c.install(int(lineAddr&c.setMask), lineAddr, spec)
+	return ev
+}
+
+// install places lineAddr, absent from its set s, in the set's lowest
+// free way, or in the policy's victim's way when the set is full, and
+// returns the eviction and the way.
+//
+//vet:hot
+func (c *Cache) install(s int, lineAddr uint64, spec FillSpec) (Eviction, int) {
+	if spec.Prefetch {
+		c.PrefetchFills++
+	}
+	st := &c.state[s]
+	// The free way is the lowest clear bit of valid; a full set has
+	// none below ways.
+	way := bits.TrailingZeros32(^st.valid)
 	var ev Eviction
-	if way < 0 {
+	if way >= c.ways {
 		incoming := policy.LineView{Valid: true, Priority: spec.Priority, Instr: spec.Instr}
-		way = c.pol.Victim(s, c.setView(s, base), incoming)
+		way = c.pol.Victim(s, c.view(s), incoming)
 		if way < 0 || way >= c.ways {
 			violated("%s: policy %s returned bad victim %d", c.name, c.pol.Name(), way)
 		}
-		old := c.lines[base+way]
+		old := c.line(s, way)
 		ev = Eviction{Victim: true, LineAddr: c.lineAddr(s, old.Tag), Line: old}
 		if old.Dirty {
 			c.Writebacks++
@@ -333,17 +355,15 @@ func (c *Cache) Fill(lineAddr uint64, spec FillSpec) Eviction {
 		c.pol.OnInvalidate(s, way)
 	}
 
-	c.lines[base+way] = Line{
-		Tag:      t,
-		Valid:    true,
-		Dirty:    spec.Dirty,
-		Instr:    spec.Instr,
-		Priority: spec.Priority,
-		SFL:      spec.SFL,
-	}
-	c.syncView(s, way)
-	c.pol.OnFill(s, way, c.setView(s, base))
-	return ev
+	c.tags[s*c.ways+way] = lineAddr >> c.setShift
+	bit := uint32(1) << uint(way)
+	st.valid |= bit
+	st.high = with(st.high, bit, spec.Priority)
+	st.instr = with(st.instr, bit, spec.Instr)
+	st.dirty = with(st.dirty, bit, spec.Dirty)
+	st.sfl = with(st.sfl, bit, spec.SFL)
+	c.pol.OnFill(s, way, c.view(s))
+	return ev, way
 }
 
 // lineAddr reconstructs a line address from set and tag.
@@ -354,16 +374,15 @@ func (c *Cache) lineAddr(s int, tag uint64) uint64 {
 // Invalidate removes a line (back-invalidation / exclusive-move),
 // returning its state.
 func (c *Cache) Invalidate(lineAddr uint64) (Line, bool) {
-	s, base, w := c.locate(lineAddr)
+	s, w := c.locate(lineAddr)
 	if w < 0 {
 		return Line{}, false
 	}
-	l := c.lines[base+w]
+	l := c.line(s, w)
 	if l.Priority {
 		c.HighBackInval++
 	}
-	c.lines[base+w] = Line{}
-	c.syncView(s, w)
+	c.state[s].drop(1 << uint(w))
 	c.pol.OnInvalidate(s, w)
 	c.BackInvals++
 	return l, true
@@ -373,40 +392,39 @@ func (c *Cache) Invalidate(lineAddr uint64) (Line, bool) {
 // communicating its priority to the L2 copy). The bit is never
 // lowered while the line is resident.
 func (c *Cache) RaisePriority(lineAddr uint64) {
-	s, base, w := c.locate(lineAddr)
+	s, w := c.locate(lineAddr)
 	if w < 0 {
 		return
 	}
-	l := &c.lines[base+w]
-	if l.Priority {
+	st := &c.state[s]
+	bit := uint32(1) << uint(w)
+	if st.high&bit != 0 {
 		return
 	}
-	l.Priority = true
+	st.high |= bit
 	c.Promotions++
-	c.syncView(s, w)
-	c.pol.OnPriorityUpdate(s, w, c.setView(s, base))
+	c.pol.OnPriorityUpdate(s, w, c.view(s))
 }
 
 // PromoteMRU makes a present line the most recently used of its class
 // (used for the SFL-bit MRU insertion into L3).
 func (c *Cache) PromoteMRU(lineAddr uint64) {
-	if s, base, w := c.locate(lineAddr); w >= 0 {
-		c.pol.OnHit(s, w, c.setView(s, base))
+	if _, w := c.locate(lineAddr); w >= 0 {
+		c.promoteWay(lineAddr, w)
 	}
+}
+
+// promoteWay is PromoteMRU for a line known to be at way w: the way a
+// fill has just returned.
+func (c *Cache) promoteWay(lineAddr uint64, w int) {
+	s := int(lineAddr & c.setMask)
+	c.pol.OnHit(s, w, c.view(s))
 }
 
 // ResetPriorities clears every P bit (§6's periodic reset mechanism).
 func (c *Cache) ResetPriorities() {
-	for i := range c.lines {
-		if c.lines[i].Priority {
-			c.lines[i].Priority = false
-			c.views[i].Priority = false
-		}
-	}
-	// No P bit survives, so the high-priority occupancy masks are
-	// simply zero.
-	for s := range c.high {
-		c.high[s] = 0
+	for s := range c.state {
+		c.state[s].high = 0
 	}
 }
 
@@ -425,17 +443,18 @@ func (c *Cache) PriorityCensus() []int {
 func (c *Cache) FillPriorityCensus(buf []int) []int {
 	census := buf[:c.ways+1]
 	clear(census)
-	for s := 0; s < c.sets; s++ {
-		census[bits.OnesCount32(c.high[s])]++
+	for s := range c.state {
+		census[bits.OnesCount32(c.state[s].high)]++
 	}
 	return census
 }
 
 // ValidLines counts resident lines, split by class.
 func (c *Cache) ValidLines() (instr, data int) {
-	for s := 0; s < c.sets; s++ {
-		instr += bits.OnesCount32(c.instr[s])
-		data += bits.OnesCount32(c.valid[s] &^ c.instr[s])
+	for s := range c.state {
+		st := &c.state[s]
+		instr += bits.OnesCount32(st.instr)
+		data += bits.OnesCount32(st.valid &^ st.instr)
 	}
 	return
 }

@@ -158,7 +158,7 @@ func TestCachePropertyNoDuplicateTags(t *testing.T) {
 		seen := map[uint64]bool{}
 		for s := 0; s < c.Sets(); s++ {
 			for w := 0; w < c.Ways(); w++ {
-				l := c.lines[s*c.ways+w]
+				l := c.line(s, w)
 				if !l.Valid {
 					continue
 				}

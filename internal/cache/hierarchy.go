@@ -251,6 +251,7 @@ func (h *Hierarchy) ProbeFetch(lineAddr uint64) FetchResult {
 // equation for this miss (always false for non-bimodal L2 policies).
 func (h *Hierarchy) CompleteFetch(lineAddr uint64, src Source, highPriority bool) {
 	inherited := false
+	spec := FillSpec{Instr: true, Priority: h.l2InsertPriority(highPriority)}
 	switch src {
 	case SrcL1:
 		return // hits need no fill
@@ -260,13 +261,14 @@ func (h *Hierarchy) CompleteFetch(lineAddr uint64, src Source, highPriority bool
 		} else {
 			// The line was evicted from L2 between probe and fill;
 			// reinstall it so the L1I fill preserves inclusion.
-			h.fillL2(lineAddr, FillSpec{Instr: true, Priority: h.l2InsertPriority(highPriority)})
+			h.spillL2(h.L2.insert(lineAddr, h.reclaimL3(lineAddr, spec)))
 		}
 	case SrcL3:
 		h.L3.Invalidate(lineAddr) // exclusive move L3 -> L2
-		h.fillL2(lineAddr, FillSpec{Instr: true, SFL: true, Priority: h.l2InsertPriority(highPriority)})
+		spec.SFL = true
+		h.spillL2(h.L2.Fill(lineAddr, spec))
 	case SrcMem:
-		h.fillL2(lineAddr, FillSpec{Instr: true, Priority: h.l2InsertPriority(highPriority)})
+		h.spillL2(h.L2.Fill(lineAddr, h.reclaimL3(lineAddr, spec)))
 	}
 	h.fillL1I(lineAddr, highPriority || inherited)
 	if h.cfg.L1I.NLP {
@@ -295,17 +297,25 @@ func (h *Hierarchy) fillL1I(lineAddr uint64, priority bool) {
 	}
 }
 
-// fillL2 installs a line in the (inclusive) L2: the displaced victim
-// is back-invalidated from the L1s and moved into the exclusive L3.
-func (h *Hierarchy) fillL2(lineAddr uint64, spec FillSpec) {
-	// Exclusivity safety net: while this fill was outstanding, a
-	// racing prefetch or fill may have installed the line in L2 and
-	// then evicted it into L3; remove any L3 copy before installing.
+// reclaimL3 is the exclusivity safety net for an instruction fill
+// that was outstanding: meanwhile a racing prefetch or fill may have
+// installed the line in L2 and then evicted it into L3. It removes any
+// L3 copy and returns spec with that copy's dirtiness and SFL origin.
+func (h *Hierarchy) reclaimL3(lineAddr uint64, spec FillSpec) FillSpec {
 	if l, ok := h.L3.Invalidate(lineAddr); ok {
 		spec.Dirty = spec.Dirty || l.Dirty
 		spec.SFL = true
 	}
-	ev := h.L2.Fill(lineAddr, spec)
+	return spec
+}
+
+// spillL2 finishes a fill of the (inclusive) L2: the victim it
+// displaced, if any, is back-invalidated from the L1s and moved into
+// the exclusive L3. Each L2 fill has first made sure L3 holds no copy
+// of the line it installs: it has just invalidated or missed the line
+// there, or called reclaimL3. A fill that has just missed the line in
+// L2 uses L2.insert; one that may race an earlier fill uses L2.Fill.
+func (h *Hierarchy) spillL2(ev Eviction) {
 	if !ev.Victim {
 		return
 	}
@@ -318,10 +328,10 @@ func (h *Hierarchy) fillL2(lineAddr uint64, spec FillSpec) {
 		ev.Line.Dirty = true
 	}
 	// Victim cache: every L2 eviction is installed in L3. SFL lines
-	// re-enter at MRU (§5.1).
-	h.L3.Fill(ev.LineAddr, FillSpec{Instr: ev.Line.Instr, Dirty: ev.Line.Dirty})
+	// re-enter at MRU (§5.1), promoted at the way the fill chose.
+	_, way := h.L3.fill(ev.LineAddr, FillSpec{Instr: ev.Line.Instr, Dirty: ev.Line.Dirty})
 	if ev.Line.SFL {
-		h.L3.PromoteMRU(ev.LineAddr)
+		h.L3.promoteWay(ev.LineAddr, way)
 	}
 }
 
@@ -329,55 +339,54 @@ func (h *Hierarchy) fillL2(lineAddr uint64, spec FillSpec) {
 // stream: it pulls the next line into L2 (from L3 or memory) without
 // modeling prefetch latency.
 func (h *Hierarchy) prefetchInstrL2(lineAddr uint64) {
-	if h.L2.Contains(lineAddr) {
-		return
+	if !h.L2.Contains(lineAddr) {
+		h.prefetchInstrL2Miss(lineAddr)
 	}
+}
+
+// prefetchInstrL2Miss is prefetchInstrL2 for a line the caller has
+// just missed in L2. An L3 copy moves up with its SFL origin but not
+// its dirtiness; the new L2 copy is low priority.
+func (h *Hierarchy) prefetchInstrL2Miss(lineAddr uint64) {
 	spec := FillSpec{Instr: true, Prefetch: true}
-	if h.L3.Contains(lineAddr) {
-		h.L3.Invalidate(lineAddr)
+	if _, ok := h.L3.Invalidate(lineAddr); ok {
 		spec.SFL = true
 	} else {
 		h.MemReads++
 	}
-	h.fillL2(lineAddr, spec)
+	h.spillL2(h.L2.insert(lineAddr, spec))
 }
 
 // prefetchInstrL1I pulls the next line into L1I (filling L2 on the way
-// to preserve inclusion).
+// to preserve inclusion). One L2 probe answers both questions: whether
+// L2 must be filled first, and which P bit the L1I copy inherits (a
+// line the prefetch just brought into L2 has none).
 func (h *Hierarchy) prefetchInstrL1I(lineAddr uint64) {
 	if h.L1I.Contains(lineAddr) {
 		return
 	}
-	if !h.L2.Contains(lineAddr) {
-		h.prefetchInstrL2(lineAddr)
+	l2, ok := h.L2.Probe(lineAddr)
+	if !ok {
+		h.prefetchInstrL2Miss(lineAddr)
 	}
-	inherited := false
-	if l, ok := h.L2.Probe(lineAddr); ok {
-		inherited = l.Priority
-	}
-	ev := h.L1I.Fill(lineAddr, FillSpec{Instr: true, Priority: inherited, Prefetch: true})
+	// Filling L2 only removed lines from L1I, so lineAddr is still
+	// absent there.
+	ev := h.L1I.insert(lineAddr, FillSpec{Instr: true, Priority: l2.Priority, Prefetch: true})
 	if ev.Victim && ev.Line.Priority {
 		h.L2.RaisePriority(ev.LineAddr)
 	}
 }
 
-// AccessData performs a load or store and returns its latency.
+// AccessData performs a load or store and returns its latency. A
+// store dirties the L1D line inside the lookup that finds it, or
+// inside the fill that installs it.
 func (h *Hierarchy) AccessData(lineAddr uint64, store bool) int {
-	if h.L1D.Access(lineAddr, false) {
-		if store {
-			h.L1D.MarkDirty(lineAddr)
-		}
-		// The next-line prefetcher trains on every access, which is
-		// what lets it cover streaming patterns.
-		if h.cfg.L1D.NLP {
-			h.prefetchDataL1D(lineAddr + 1)
-		}
-		return h.cfg.L1D.HitLatency
+	lat := h.cfg.L1D.HitLatency
+	if !h.L1D.access(lineAddr, false, store) {
+		lat = h.dataMiss(lineAddr, FillSpec{Dirty: store})
 	}
-	lat := h.dataMiss(lineAddr, FillSpec{})
-	if store {
-		h.L1D.MarkDirty(lineAddr)
-	}
+	// The next-line prefetcher trains on every access, which is what
+	// lets it cover streaming patterns.
 	if h.cfg.L1D.NLP {
 		h.prefetchDataL1D(lineAddr + 1)
 	}
@@ -385,9 +394,10 @@ func (h *Hierarchy) AccessData(lineAddr uint64, store bool) int {
 }
 
 // dataMiss walks the outer levels for a data request, installing the
-// line in L2 and L1D, and returns the serving latency.
-func (h *Hierarchy) dataMiss(lineAddr uint64, spec FillSpec) int {
-	spec.Instr = false
+// line in L2 and L1D, and returns the serving latency. l1d is the L1D
+// fill's spec: Dirty for a store, Prefetch for the prefetcher.
+func (h *Hierarchy) dataMiss(lineAddr uint64, l1d FillSpec) int {
+	spec := FillSpec{Prefetch: l1d.Prefetch}
 	lat := h.cfg.MemLatency
 	switch {
 	case h.L2.Access(lineAddr, false):
@@ -398,14 +408,16 @@ func (h *Hierarchy) dataMiss(lineAddr uint64, spec FillSpec) int {
 			spec.Dirty = l.Dirty
 		}
 		spec.SFL = true
-		h.fillL2(lineAddr, spec)
+		h.spillL2(h.L2.insert(lineAddr, spec))
 	default:
+		// The L3 lookup just missed, so there is no copy to reclaim.
 		h.MemReads++
-		h.fillL2(lineAddr, spec)
+		h.spillL2(h.L2.insert(lineAddr, spec))
 	}
-	// Fill L1D (clean: store dirtiness is set by MarkDirty); a dirty
-	// victim writes back into the (inclusive) L2.
-	ev := h.L1D.Fill(lineAddr, FillSpec{Prefetch: spec.Prefetch})
+	// Fill L1D, which the caller has just missed and the L2 fill only
+	// removed lines from; a dirty victim writes back into the
+	// (inclusive) L2.
+	ev := h.L1D.insert(lineAddr, l1d)
 	if ev.Victim && ev.Line.Dirty {
 		h.L2.MarkDirty(ev.LineAddr)
 	}

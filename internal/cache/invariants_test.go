@@ -15,7 +15,7 @@ func checkInvariants(t *testing.T, h *Hierarchy) {
 	checkSubset := func(inner, outer *Cache, name string) {
 		for s := 0; s < inner.sets; s++ {
 			for w := 0; w < inner.ways; w++ {
-				l := inner.lines[s*inner.ways+w]
+				l := inner.line(s, w)
 				if !l.Valid {
 					continue
 				}
@@ -30,7 +30,7 @@ func checkInvariants(t *testing.T, h *Hierarchy) {
 	checkSubset(h.L1D, h.L2, "L1D")
 	for s := 0; s < h.L2.sets; s++ {
 		for w := 0; w < h.L2.ways; w++ {
-			l := h.L2.lines[s*h.L2.ways+w]
+			l := h.L2.line(s, w)
 			if !l.Valid {
 				continue
 			}
@@ -111,8 +111,8 @@ func TestHierarchyInvariantsSmallCaches(t *testing.T) {
 func TestPriorityBitsOnlyOnInstructionLines(t *testing.T) {
 	h := NewHierarchy(DefaultConfig(core.MustParsePolicy("P(8):S&E")))
 	driveRandom(t, h, 60_000, 21)
-	for i, l := range h.L2.lines {
-		if l.Valid && l.Priority && !l.Instr {
+	for i := 0; i < h.L2.sets*h.L2.ways; i++ {
+		if l := h.L2.line(i/h.L2.ways, i%h.L2.ways); l.Valid && l.Priority && !l.Instr {
 			t.Fatalf("data line %d carries a P bit", i)
 		}
 	}
@@ -123,8 +123,8 @@ func TestResetPrioritiesClearsHierarchy(t *testing.T) {
 	driveRandom(t, h, 40_000, 33)
 	h.ResetPriorities()
 	for _, c := range []*Cache{h.L1I, h.L2} {
-		for i, l := range c.lines {
-			if l.Valid && l.Priority {
+		for i := 0; i < c.sets*c.ways; i++ {
+			if l := c.line(i/c.ways, i%c.ways); l.Valid && l.Priority {
 				t.Fatalf("%s line %d still high-priority after reset", c.Name(), i)
 			}
 		}

@@ -12,9 +12,9 @@ import (
 // Emissary is the P(N) mode-treatment policy of §4.2, Algorithm 1.
 // Up to N MRU high-priority lines per set are protected from eviction
 // by low-priority insertions. Priority is carried in each line's P bit
-// (policy.LineView.Priority), set once by mode selection and never
-// changed while the line is resident (persistence). All misses insert
-// — bypass was evaluated by the authors and rejected.
+// (the cache's policy.SetView.High mask), set once by mode selection
+// and never changed while the line is resident (persistence). All
+// misses insert — bypass was evaluated by the authors and rejected.
 //
 // The recency substrate is either a single true-LRU stamp array (used
 // for the Figure 1 study) or dual tree-PLRUs, one per priority class,
@@ -71,14 +71,18 @@ func (e *Emissary) touch(set, way int, high bool) {
 }
 
 // OnHit implements policy.Policy.
+//
+//vet:hot
 func (e *Emissary) OnHit(set, way int, view policy.SetView) {
-	e.touch(set, way, view.Lines[way].Priority)
+	e.touch(set, way, view.High&(1<<uint(way)) != 0)
 }
 
 // OnFill implements policy.Policy. P(N) does not act on priority at
 // insertion — every inserted line becomes the MRU of its class.
+//
+//vet:hot
 func (e *Emissary) OnFill(set, way int, view policy.SetView) {
-	e.touch(set, way, view.Lines[way].Priority)
+	e.touch(set, way, view.High&(1<<uint(way)) != 0)
 }
 
 // victimAmong finds the LRU line within mask for the given class.
@@ -118,6 +122,8 @@ func (e *Emissary) Victim(set int, view policy.SetView, incoming policy.LineView
 }
 
 // OnInvalidate implements policy.Policy.
+//
+//vet:hot
 func (e *Emissary) OnInvalidate(set, way int) {}
 
 // ResetState implements policy.Resetter: whichever recency bases exist
@@ -135,11 +141,13 @@ func (e *Emissary) ResetState(seed uint64) {
 }
 
 // OnPriorityUpdate implements policy.Policy. The P bit is read from
-// the LineView at Victim time, and the dual trees are class-indexed by
+// view.High at Victim time, and the dual trees are class-indexed by
 // that same bit, so a promotion (L1I eviction writing P=1 into the L2
 // copy) moves the line's future recency updates to the high tree; we
 // seed its position there now so it is not immediately the high-class
 // pseudo-LRU victim.
+//
+//vet:hot
 func (e *Emissary) OnPriorityUpdate(set, way int, view policy.SetView) {
-	e.touch(set, way, view.Lines[way].Priority)
+	e.touch(set, way, view.High&(1<<uint(way)) != 0)
 }

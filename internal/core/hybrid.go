@@ -33,17 +33,21 @@ func (e *EmissaryGHRP) Name() string { return e.name }
 // OnHit implements policy.Policy. GHRP tracks every line (its history
 // and signatures are global); the high tree additionally tracks
 // protected-line recency.
+//
+//vet:hot
 func (e *EmissaryGHRP) OnHit(set, way int, view policy.SetView) {
 	e.ghrp.OnHit(set, way, view)
-	if view.Lines[way].Priority {
+	if view.High&(1<<uint(way)) != 0 {
 		e.highT.Touch(set, way)
 	}
 }
 
 // OnFill implements policy.Policy.
+//
+//vet:hot
 func (e *EmissaryGHRP) OnFill(set, way int, view policy.SetView) {
 	e.ghrp.OnFill(set, way, view)
-	if view.Lines[way].Priority {
+	if view.High&(1<<uint(way)) != 0 {
 		e.highT.Touch(set, way)
 	}
 }
@@ -66,6 +70,8 @@ func (e *EmissaryGHRP) Victim(set int, view policy.SetView, incoming policy.Line
 }
 
 // OnInvalidate implements policy.Policy.
+//
+//vet:hot
 func (e *EmissaryGHRP) OnInvalidate(set, way int) {
 	e.ghrp.OnInvalidate(set, way)
 }
@@ -82,8 +88,10 @@ func (e *EmissaryGHRP) ResetState(seed uint64) {
 
 // OnPriorityUpdate implements policy.Policy: a promoted line joins the
 // high class's recency order.
+//
+//vet:hot
 func (e *EmissaryGHRP) OnPriorityUpdate(set, way int, view policy.SetView) {
-	if view.Lines[way].Priority {
+	if view.High&(1<<uint(way)) != 0 {
 		e.highT.Touch(set, way)
 	}
 }

@@ -19,6 +19,15 @@ const ringMask = ringSize - 1
 // dependences can reach.
 const depWindow = 64
 
+// wrap reduces i, which must lie in [0, 2n), to a slot of an n-slot
+// ring (the ROB or the FTQ) with a compare instead of a divide.
+func wrap(i, n int) int {
+	if i >= n {
+		i -= n
+	}
+	return i
+}
+
 // robEntry is one in-flight instruction.
 type robEntry struct {
 	seq        uint64
@@ -229,7 +238,7 @@ func (b *backend) dispatch(now uint64, pc uint64, cls trace.Class, hasMem bool, 
 		resolves:   resolves,
 	}
 	b.rob[b.tail] = e
-	b.tail = (b.tail + 1) % b.cfg.ROBSize
+	b.tail = wrap(b.tail+1, b.cfg.ROBSize)
 	b.count++
 	b.iqCount++
 	slot := issueAt & ringMask
@@ -299,7 +308,7 @@ func (b *backend) resolveReady(now uint64) (uint64, bool) {
 // occupancy and future scheduling reservations.
 func (b *backend) flushAfter(seq, now uint64) {
 	for b.count > 0 {
-		lastIdx := (b.tail - 1 + b.cfg.ROBSize) % b.cfg.ROBSize
+		lastIdx := wrap(b.tail-1+b.cfg.ROBSize, b.cfg.ROBSize)
 		e := &b.rob[lastIdx]
 		if e.seq <= seq {
 			break
@@ -349,7 +358,7 @@ func (b *backend) commit(now uint64) int {
 		if e.isStore {
 			b.sqCount--
 		}
-		b.head = (b.head + 1) % b.cfg.ROBSize
+		b.head = wrap(b.head+1, b.cfg.ROBSize)
 		b.count--
 		if !e.wrongPath {
 			b.committed++

@@ -197,7 +197,7 @@ func (f *frontend) pop() {
 	e := &f.ftq[f.ftqHead]
 	f.ftqInstr -= e.n
 	e.mem = nil
-	f.ftqHead = (f.ftqHead + 1) % f.cfg.FTQEntries
+	f.ftqHead = wrap(f.ftqHead+1, f.cfg.FTQEntries)
 	f.ftqCount--
 	if f.scanDone > 0 {
 		f.scanDone--
@@ -313,7 +313,7 @@ func (f *frontend) processCompletions(now uint64) {
 // prefetchScan is FDIP: walk the FTQ issuing line requests ahead of
 // decode, resuming after the scanDone entries already fully requested.
 func (f *frontend) prefetchScan(now uint64) {
-	idx := (f.ftqHead + f.scanDone) % f.cfg.FTQEntries
+	idx := wrap(f.ftqHead+f.scanDone, f.cfg.FTQEntries)
 	for ; f.scanDone < f.ftqCount; f.scanDone++ {
 		e := &f.ftq[idx]
 		for li := 0; li < e.nLines; li++ {
@@ -325,7 +325,7 @@ func (f *frontend) prefetchScan(now uint64) {
 			}
 			e.requested |= 1 << uint(li)
 		}
-		idx = (idx + 1) % f.cfg.FTQEntries
+		idx = wrap(idx+1, f.cfg.FTQEntries)
 	}
 }
 
@@ -498,7 +498,7 @@ func (f *frontend) fetchBlock(now uint64) {
 		e.lines[1] = last
 		e.nLines = 2
 	}
-	slot := (f.ftqHead + f.ftqCount) % f.cfg.FTQEntries
+	slot := wrap(f.ftqHead+f.ftqCount, f.cfg.FTQEntries)
 	if len(e.mem) > 0 {
 		// e.mem still aliases the oracle event's buffer, which the next
 		// NextBlock call invalidates; copy into the slot's arena region.

@@ -221,7 +221,7 @@ func (c *Core) planSkip() (uint64, skipDelta, bool) {
 	// scanDone cursor) is retried every cycle; quiet only if that retry
 	// is a bare MSHR-full miss, which leaves the cursor in place.
 	if c.cfg.FDIP {
-		idx := (f.ftqHead + f.scanDone) % f.cfg.FTQEntries
+		idx := wrap(f.ftqHead+f.scanDone, f.cfg.FTQEntries)
 	scan:
 		for i := f.scanDone; i < f.ftqCount; i++ {
 			e := &f.ftq[idx]
@@ -235,7 +235,7 @@ func (c *Core) planSkip() (uint64, skipDelta, bool) {
 				d.mshrFull++
 				break scan
 			}
-			idx = (idx + 1) % f.cfg.FTQEntries
+			idx = wrap(idx+1, f.cfg.FTQEntries)
 		}
 	}
 

@@ -68,14 +68,18 @@ func (p *DCLIP) clipActive(set int) bool {
 func (p *DCLIP) Name() string { return p.name }
 
 // OnHit implements Policy.
+//
+//vet:hot
 func (p *DCLIP) OnHit(set, way int, view SetView) {
 	p.rrpv[p.idx(set, way)] = 0
 }
 
 // OnFill implements Policy.
+//
+//vet:hot
 func (p *DCLIP) OnFill(set, way int, view SetView) {
-	l := view.Lines[way]
-	if l.Instr {
+	instr := view.Instr&(1<<uint(way)) != 0
+	if instr {
 		switch p.leaderKind(set) {
 		case 1:
 			if p.psel < pselMax {
@@ -89,7 +93,7 @@ func (p *DCLIP) OnFill(set, way int, view SetView) {
 	}
 	ins := uint8(longRRPV)
 	if p.clipActive(set) {
-		if l.Instr {
+		if instr {
 			ins = 0 // preserve code lines
 		} else {
 			ins = maxRRPV // data predicted distant
@@ -116,11 +120,15 @@ func (p *DCLIP) Victim(set int, view SetView, incoming LineView) int {
 }
 
 // OnInvalidate implements Policy.
+//
+//vet:hot
 func (p *DCLIP) OnInvalidate(set, way int) {
 	p.rrpv[p.idx(set, way)] = maxRRPV
 }
 
 // OnPriorityUpdate implements Policy.
+//
+//vet:hot
 func (p *DCLIP) OnPriorityUpdate(set, way int, view SetView) {}
 
 // ResetState implements Resetter: every RRPV returns to distant and

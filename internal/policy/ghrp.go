@@ -86,6 +86,8 @@ func (p *GHRP) trainLive(sig uint32) {
 func (p *GHRP) Name() string { return p.name }
 
 // OnHit implements Policy.
+//
+//vet:hot
 func (p *GHRP) OnHit(set, way int, view SetView) {
 	i := p.idx(set, way)
 	// The previous signature proved live.
@@ -97,6 +99,8 @@ func (p *GHRP) OnHit(set, way int, view SetView) {
 }
 
 // OnFill implements Policy.
+//
+//vet:hot
 func (p *GHRP) OnFill(set, way int, view SetView) {
 	i := p.idx(set, way)
 	p.advanceHistory(set, way)
@@ -150,6 +154,8 @@ func (p *GHRP) Victim(set int, view SetView, incoming LineView) int {
 
 // OnInvalidate implements Policy: an eviction of an untouched line is
 // the dead-block training event.
+//
+//vet:hot
 func (p *GHRP) OnInvalidate(set, way int) {
 	i := p.idx(set, way)
 	if !p.touched[i] {
@@ -160,6 +166,8 @@ func (p *GHRP) OnInvalidate(set, way int) {
 }
 
 // OnPriorityUpdate implements Policy.
+//
+//vet:hot
 func (p *GHRP) OnPriorityUpdate(set, way int, view SetView) {}
 
 // ResetState implements Resetter: history register, per-line

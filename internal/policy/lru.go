@@ -24,12 +24,16 @@ func NewTrueLRU(sets, ways int) *TrueLRU {
 func (l *TrueLRU) idx(set, way int) int { return set*l.ways + way }
 
 // Touch implements RecencyBase.
+//
+//vet:hot
 func (l *TrueLRU) Touch(set, way int) {
 	l.mruClock++
 	l.stamps[l.idx(set, way)] = l.mruClock
 }
 
 // MakeLRU implements RecencyBase.
+//
+//vet:hot
 func (l *TrueLRU) MakeLRU(set, way int) {
 	l.lruClock--
 	l.stamps[l.idx(set, way)] = l.lruClock

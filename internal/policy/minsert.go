@@ -17,9 +17,13 @@ func NewRecency(name string, base RecencyBase) *Recency {
 func (p *Recency) Name() string { return p.name }
 
 // OnHit implements Policy.
+//
+//vet:hot
 func (p *Recency) OnHit(set, way int, view SetView) { p.base.Touch(set, way) }
 
 // OnFill implements Policy.
+//
+//vet:hot
 func (p *Recency) OnFill(set, way int, view SetView) { p.base.Touch(set, way) }
 
 // Victim implements Policy.
@@ -30,9 +34,13 @@ func (p *Recency) Victim(set int, view SetView, incoming LineView) int {
 }
 
 // OnInvalidate implements Policy.
+//
+//vet:hot
 func (p *Recency) OnInvalidate(set, way int) {}
 
 // OnPriorityUpdate implements Policy.
+//
+//vet:hot
 func (p *Recency) OnPriorityUpdate(set, way int, view SetView) {}
 
 // ResetState implements Resetter by resetting the recency base. Every
@@ -66,12 +74,16 @@ func NewMInsert(name string, base RecencyBase) *MInsert {
 func (p *MInsert) Name() string { return p.name }
 
 // OnHit implements Policy.
+//
+//vet:hot
 func (p *MInsert) OnHit(set, way int, view SetView) { p.base.Touch(set, way) }
 
 // OnFill implements Policy.
+//
+//vet:hot
 func (p *MInsert) OnFill(set, way int, view SetView) {
-	l := view.Lines[way]
-	if l.Instr && !l.Priority {
+	// A low-priority instruction line inserts at LRU.
+	if (view.Instr&^view.High)&(1<<uint(way)) != 0 {
 		p.base.MakeLRU(set, way)
 		return
 	}
@@ -86,10 +98,14 @@ func (p *MInsert) Victim(set int, view SetView, incoming LineView) int {
 }
 
 // OnInvalidate implements Policy.
+//
+//vet:hot
 func (p *MInsert) OnInvalidate(set, way int) {}
 
 // OnPriorityUpdate implements Policy. Insertion-only bimodality: a
 // priority bit arriving after insertion (L1I eviction) has no effect.
+//
+//vet:hot
 func (p *MInsert) OnPriorityUpdate(set, way int, view SetView) {}
 
 // ResetState implements Resetter by resetting the recency base (see

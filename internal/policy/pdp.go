@@ -62,6 +62,8 @@ func (p *PDP) age(set, except int, valid uint32) {
 func (p *PDP) Name() string { return p.name }
 
 // OnHit implements Policy.
+//
+//vet:hot
 func (p *PDP) OnHit(set, way int, view SetView) {
 	p.remaining[p.idx(set, way)] = uint16(p.pd)
 	p.stamps.Touch(set, way)
@@ -69,6 +71,8 @@ func (p *PDP) OnHit(set, way int, view SetView) {
 }
 
 // OnFill implements Policy.
+//
+//vet:hot
 func (p *PDP) OnFill(set, way int, view SetView) {
 	p.remaining[p.idx(set, way)] = uint16(p.pd)
 	p.stamps.Touch(set, way)
@@ -103,11 +107,15 @@ func (p *PDP) Victim(set int, view SetView, incoming LineView) int {
 }
 
 // OnInvalidate implements Policy.
+//
+//vet:hot
 func (p *PDP) OnInvalidate(set, way int) {
 	p.remaining[p.idx(set, way)] = 0
 }
 
 // OnPriorityUpdate implements Policy.
+//
+//vet:hot
 func (p *PDP) OnPriorityUpdate(set, way int, view SetView) {}
 
 // ResetState implements Resetter: all protecting-distance counters and

@@ -7,10 +7,9 @@
 // internal/core and builds on the recency bases exported here.
 //
 // A cache owns its line metadata and presents it to the policy as a
-// SetView per set: the per-line metadata plus occupancy masks the
-// cache maintains incrementally as lines change. Policies keep
-// whatever recency state they need (stamps, tree bits, RRPVs) indexed
-// by (set, way).
+// SetView per set: occupancy masks, one bit per way, that the cache
+// keeps as its line state. Policies keep whatever recency state they
+// need (stamps, tree bits, RRPVs) indexed by (set, way).
 package policy
 
 import (
@@ -18,8 +17,8 @@ import (
 	"math/bits"
 )
 
-// LineView is the per-line metadata a policy may consult. The cache
-// keeps these up to date; policies never mutate them.
+// LineView describes one line: the incoming line of a Victim call, and
+// the per-way input of ViewOf.
 type LineView struct {
 	Valid    bool
 	Priority bool // EMISSARY P bit (false for all non-EMISSARY policies)
@@ -27,15 +26,11 @@ type LineView struct {
 }
 
 // SetView is the read-only view of one cache set passed to every
-// policy callback. Besides the raw lines it carries occupancy masks
-// (bit w describes way w) that the cache maintains incrementally on
-// each line change, so policies index precomputed masks instead of
-// re-deriving them with a way scan on every Victim call — those scans
-// were a measurable fraction of per-access cost on the simulate loop.
+// policy callback: occupancy masks in which bit w describes way w. The
+// masks are the cache's own line state (DESIGN.md §9), so a policy
+// reads a line's class with one bit test, e.g. view.High&(1<<way), and
+// never scans the ways.
 type SetView struct {
-	// Lines holds the per-way metadata; it always has exactly `ways`
-	// entries.
-	Lines []LineView
 	// Valid is the mask of valid ways.
 	Valid uint32
 	// High is the mask of valid ways whose Priority bit is set.
@@ -53,11 +48,11 @@ func (v SetView) Data() uint32 { return v.Valid &^ v.Instr }
 // HighCount returns the number of valid high-priority ways.
 func (v SetView) HighCount() int { return bits.OnesCount32(v.High) }
 
-// ViewOf derives a SetView from raw line metadata by scanning once.
-// The cache maintains the masks incrementally instead of calling this
-// per access; ViewOf serves tests and construction-time code.
+// ViewOf derives a SetView's masks from per-way line metadata (way w
+// is lines[w]). The cache keeps its masks directly and never calls
+// this; ViewOf serves tests and reference models.
 func ViewOf(lines []LineView) SetView {
-	v := SetView{Lines: lines}
+	var v SetView
 	for w, l := range lines {
 		if !l.Valid {
 			continue
@@ -78,10 +73,10 @@ func ViewOf(lines []LineView) SetView {
 //
 // The cache guarantees:
 //   - Victim is called only when every way in the set is valid;
-//   - OnFill is called after the new line is installed, with
-//     view.Lines[way] describing it;
-//   - view.Lines always has exactly `ways` entries, and the masks are
-//     consistent with it.
+//   - OnFill is called after the new line is installed, so view's
+//     bits for way describe it;
+//   - High and Instr are subsets of Valid, and no bit at or above
+//     `ways` is set.
 type Policy interface {
 	// Name returns the policy's notation string (e.g. "M:R(1/32)").
 	Name() string
@@ -90,7 +85,8 @@ type Policy interface {
 	// OnFill is invoked after a miss fill installs a line at way.
 	OnFill(set, way int, view SetView)
 	// Victim picks the way to evict for an incoming fill described by
-	// incoming. It must return a valid way index.
+	// incoming. It must return a valid way index. No policy in this
+	// module consults incoming.
 	Victim(set int, view SetView, incoming LineView) int
 	// OnInvalidate is invoked when a line is removed without
 	// replacement (back-invalidation, flush).

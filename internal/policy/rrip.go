@@ -115,12 +115,16 @@ func (p *RRIP) Name() string { return p.name }
 
 // OnHit implements Policy. Hit promotion to near-immediate
 // re-reference (HP policy from the RRIP paper).
+//
+//vet:hot
 func (p *RRIP) OnHit(set, way int, view SetView) {
 	p.rrpv[p.idx(set, way)] = 0
 }
 
 // OnFill implements Policy. A fill is evidence of a miss, so DRRIP
 // leader sets update PSEL here.
+//
+//vet:hot
 func (p *RRIP) OnFill(set, way int, view SetView) {
 	if p.mode == modeDRRIP {
 		switch p.leaderKind(set) {
@@ -160,11 +164,15 @@ func (p *RRIP) Victim(set int, view SetView, incoming LineView) int {
 }
 
 // OnInvalidate implements Policy.
+//
+//vet:hot
 func (p *RRIP) OnInvalidate(set, way int) {
 	p.rrpv[p.idx(set, way)] = maxRRPV
 }
 
 // OnPriorityUpdate implements Policy.
+//
+//vet:hot
 func (p *RRIP) OnPriorityUpdate(set, way int, view SetView) {}
 
 // ResetState implements Resetter: every RRPV returns to distant, PSEL

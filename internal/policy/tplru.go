@@ -10,10 +10,20 @@ import "fmt"
 // 1 = right) toward the pseudo-LRU victim. Touching a way flips the
 // bits on its root path to point away from it; MakeLRU points them at
 // it.
+//
+// Both updates are one masked write: NewTPLRU tabulates, per way, the
+// tree bits on its root path and the values that point them toward
+// it, and per heap node, the mask of leaf ways beneath it.
 type TPLRU struct {
 	sets, ways int
-	depth      uint
 	bits       []uint16 // one word of tree bits per set, node i's bit at 1<<i (i from 1)
+
+	// path[w] has the bit of every internal node on way w's root path;
+	// toward[w] holds those bits set to point at w.
+	path, toward [16]uint16
+	// leaves[n] is the mask of leaf ways beneath heap node n; leaves[w+ways]
+	// is way w's own bit.
+	leaves [32]uint32
 }
 
 // NewTPLRU returns a tree-PLRU recency base. Ways must be a power of
@@ -23,69 +33,50 @@ func NewTPLRU(sets, ways int) *TPLRU {
 	if ways&(ways-1) != 0 || ways < 2 || ways > 16 {
 		panic(fmt.Sprintf("policy: TPLRU requires power-of-two ways in [2,16], got %d", ways))
 	}
-	d := uint(0)
-	for 1<<d < ways {
-		d++
-	}
-	return &TPLRU{sets: sets, ways: ways, depth: d, bits: make([]uint16, sets)}
-}
-
-func (t *TPLRU) getBit(set, node int) int {
-	return int(t.bits[set]>>uint(node)) & 1
-}
-
-func (t *TPLRU) setBit(set, node, v int) {
-	if v != 0 {
-		t.bits[set] |= 1 << uint(node)
-	} else {
-		t.bits[set] &^= 1 << uint(node)
-	}
-}
-
-// pathSet walks from the root toward way, setting each node's bit to
-// point toward the way when toward is true, away otherwise.
-func (t *TPLRU) pathSet(set, way int, toward bool) {
-	node := 1
-	for level := int(t.depth) - 1; level >= 0; level-- {
-		dir := (way >> uint(level)) & 1
-		if toward {
-			t.setBit(set, node, dir)
-		} else {
-			t.setBit(set, node, 1-dir)
+	t := &TPLRU{sets: sets, ways: ways, bits: make([]uint16, sets)}
+	for w := 0; w < ways; w++ {
+		t.leaves[ways+w] = 1 << uint(w)
+		// Walk up from the leaf: node's bit points toward w when it
+		// selects the child w's path arrived from.
+		for child, node := ways+w, (ways+w)/2; node >= 1; child, node = node, node/2 {
+			t.path[w] |= 1 << uint(node)
+			if child&1 != 0 {
+				t.toward[w] |= 1 << uint(node)
+			}
 		}
-		node = node*2 + dir
 	}
+	for n := ways - 1; n >= 1; n-- {
+		t.leaves[n] = t.leaves[2*n] | t.leaves[2*n+1]
+	}
+	return t
 }
 
 // Touch implements RecencyBase.
-func (t *TPLRU) Touch(set, way int) { t.pathSet(set, way, false) }
+//
+//vet:hot
+func (t *TPLRU) Touch(set, way int) {
+	w := way & 15 // way < ways <= 16; the mask only drops the bounds check
+	t.bits[set] = t.bits[set]&^t.path[w] | t.path[w]&^t.toward[w]
+}
 
 // MakeLRU implements RecencyBase.
-func (t *TPLRU) MakeLRU(set, way int) { t.pathSet(set, way, true) }
+//
+//vet:hot
+func (t *TPLRU) MakeLRU(set, way int) {
+	w := way & 15 // as in Touch
+	t.bits[set] = t.bits[set]&^t.path[w] | t.toward[w]
+}
 
 // Victim implements RecencyBase.
 //
 //vet:hot
 func (t *TPLRU) Victim(set int) int {
+	b := t.bits[set]
 	node := 1
 	for node < t.ways {
-		node = node*2 + t.getBit(set, node)
+		node = node*2 + int(b>>uint(node)&1)
 	}
 	return node - t.ways
-}
-
-// subtreeMask returns the mask of leaf ways underneath heap node.
-func (t *TPLRU) subtreeMask(node int) uint32 {
-	// Node at heap index n with leaves in [n*2^k - ways, ...] — compute
-	// by walking down: the subtree rooted at n spans ways
-	// [ (n - 2^level) << (depth-level), ... ) where level = floor(log2 n).
-	level := 0
-	for 1<<uint(level+1) <= node {
-		level++
-	}
-	span := t.ways >> uint(level)
-	start := (node - 1<<uint(level)) * span
-	return ((1 << uint(span)) - 1) << uint(start)
 }
 
 // VictimAmong implements RecencyBase. The walk follows the tree bits
@@ -100,16 +91,15 @@ func (t *TPLRU) VictimAmong(set int, mask uint32) int {
 	if mask == 0 {
 		return -1
 	}
+	b := t.bits[set]
 	node := 1
 	for node < t.ways {
-		b := t.getBit(set, node)
-		preferred := node*2 + b
-		other := node*2 + (1 - b)
-		if t.subtreeMask(preferred)&mask != 0 {
-			node = preferred
-		} else {
-			node = other
+		preferred := node*2 + int(b>>uint(node)&1)
+		if t.leaves[preferred&31]&mask == 0 {
+			// The sibling subtree holds every masked way left.
+			preferred ^= 1
 		}
+		node = preferred
 	}
 	way := node - t.ways
 	if mask&(1<<uint(way)) == 0 {
