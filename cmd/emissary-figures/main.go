@@ -49,7 +49,6 @@ func main() {
 		noSkip     = flag.Bool("no-cycle-skip", false, "walk every cycle instead of event-driven skipping (debugging; output is identical, only slower)")
 		retries    = flag.Int("retries", 0, "extra attempts for transiently-failing simulations (0 = fail on first error; output is identical at any -j)")
 		jobTimeout = flag.Duration("job-timeout", 0, "per-simulation deadline (0 = none; a tripped deadline is transient and composes with -retries)")
-		batch      = flag.Bool("batch", true, "run same-stream simulations in lockstep batches, synthesizing each workload once per group (output is identical; -batch=false is the diagnostic baseline)")
 	)
 	flag.Parse()
 	if flag.NArg() == 0 {
@@ -82,7 +81,6 @@ func main() {
 	cfg.NoCycleSkip = *noSkip
 	cfg.Retries = *retries
 	cfg.JobTimeout = *jobTimeout
-	cfg.NoBatch = !*batch
 	cfg.Warn = func(e error) {
 		fmt.Fprintf(os.Stderr, "warning: %v\n", e)
 	}

@@ -45,7 +45,6 @@ func main() {
 		measure    = flag.Uint64("measure", 0, "override measured instructions (0 = scale default)")
 		retries    = flag.Int("retries", 0, "extra attempts for transiently-failing simulations (0 = fail on first error; reports are identical at any -j)")
 		jobTimeout = flag.Duration("job-timeout", 0, "per-simulation deadline (0 = none; a tripped deadline is transient and composes with -retries)")
-		batch      = flag.Bool("batch", true, "run same-stream simulations in lockstep batches, synthesizing each workload once per group (reports are identical; -batch=false is the diagnostic baseline)")
 	)
 	flag.Parse()
 
@@ -63,7 +62,7 @@ func main() {
 		catalog = selected
 	}
 
-	cfg := hypothesis.Config{Workers: *jobs, Retries: *retries, JobTimeout: *jobTimeout, NoBatch: !*batch}
+	cfg := hypothesis.Config{Workers: *jobs, Retries: *retries, JobTimeout: *jobTimeout}
 	if *short {
 		cfg.Scale = hypothesis.ShortScale()
 	} else {

@@ -58,7 +58,6 @@ func main() {
 		jobTimeout = flag.Duration("job-timeout", 0, "per-simulation deadline (0 = none; a tripped deadline is transient and composes with -retries)")
 		bestEffort = flag.Bool("best-effort-checkpoint", false, "keep sweeping when checkpoint writes fail (loud warning) instead of failing the sweep")
 		inject     = flag.String("inject", "", "deterministic job fault plan 'job:error|panic|stall[@attempts]', comma-separated (testing; e.g. '3:error@1,0:stall')")
-		lockstep   = flag.Bool("batch", true, "run same-stream simulations in lockstep batches, synthesizing each workload once per group (output is identical; -batch=false is the diagnostic baseline)")
 	)
 	flag.Parse()
 
@@ -126,7 +125,6 @@ func main() {
 
 	scfg := runner.SimsConfig{
 		Workers:    *jobs,
-		NoBatch:    !*lockstep,
 		Retry:      runner.RetryPolicy{MaxAttempts: *retries + 1},
 		JobTimeout: *jobTimeout,
 		Warn: func(e error) {

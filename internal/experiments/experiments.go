@@ -71,10 +71,6 @@ type Config struct {
 	// (runner.JournalFatal fails the job; runner.JournalDegrade warns
 	// and keeps the sweep alive).
 	JournalFailure runner.JournalFailureMode
-	// NoBatch disables batched lockstep execution of same-stream
-	// simulations (diagnostic escape hatch; artifacts are byte-
-	// identical either way, only wall-clock changes).
-	NoBatch bool
 	// Warn receives non-fatal degradation notices; nil discards them.
 	Warn func(error)
 }
@@ -163,7 +159,6 @@ func (c Config) runBatch(jobs []sim.Options) ([]sim.Result, error) {
 		Retry:          runner.RetryPolicy{MaxAttempts: c.Retries + 1},
 		JobTimeout:     c.JobTimeout,
 		JournalFailure: c.JournalFailure,
-		NoBatch:        c.NoBatch,
 		Warn:           c.Warn,
 	})
 }

@@ -35,10 +35,6 @@ type Config struct {
 	// JobTimeout, when positive, bounds each simulation attempt with
 	// its own deadline (tripped deadlines are transient).
 	JobTimeout time.Duration
-	// NoBatch disables batched lockstep execution of same-stream
-	// simulations (diagnostic escape hatch; reports are byte-identical
-	// either way, only wall-clock changes).
-	NoBatch bool
 }
 
 func (c Config) scale() Scale {
@@ -121,7 +117,6 @@ func Run(h *Hypothesis, cfg Config) (*Evaluation, error) {
 		Progress:   progress,
 		Retry:      runner.RetryPolicy{MaxAttempts: cfg.Retries + 1},
 		JobTimeout: cfg.JobTimeout,
-		NoBatch:    cfg.NoBatch,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("hypothesis %s: %w", h.ID, err)

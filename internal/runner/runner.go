@@ -303,6 +303,13 @@ const (
 	JournalDegrade
 )
 
+// DefaultMaxBatch was the lockstep batch width; nothing in this module
+// reads it.
+//
+// Deprecated: kept only for the benchmark harness; see
+// internal/sim/batch.go.
+const DefaultMaxBatch = 32
+
 // SimsConfig tunes RunSims beyond the historical defaults.
 type SimsConfig struct {
 	// Workers is the pool size (0 = GOMAXPROCS, 1 = sequential).
@@ -329,52 +336,24 @@ type SimsConfig struct {
 	// Inject, when non-nil, runs before each attempt's simulation with
 	// the attempt's (deadline-bounded) context. A non-nil return or a
 	// panic stands in for the simulation's failure — the fault-
-	// injection hook the chaos suite drives. A non-nil Inject also
-	// disables batched execution: the hook's per-job sequential
-	// semantics (a stall blocks exactly its own job) cannot survive
-	// lockstep grouping.
+	// injection hook the chaos suite drives.
 	Inject func(ctx context.Context, job, attempt int) error
 	// JournalFailure selects how a journal write failure is handled;
 	// the zero value is JournalFatal.
 	JournalFailure JournalFailureMode
-	// ColdStart disables the per-worker warm pool: every job then
-	// constructs its hierarchy, core, and workload engine from scratch.
-	// The pool is on by default because warm runs are byte-identical to
-	// cold ones by contract (pinned by the sim package's warm-vs-cold
-	// lockstep and fuzz suites); ColdStart exists as the reference the
-	// warm-pool tests compare against and as a diagnostic escape hatch.
-	ColdStart bool
 	// WarmPool, when non-nil, supplies the per-worker slot rack itself,
 	// so a caller can keep slots alive across RunSimsStats calls — the
 	// allocation tests and perfbench do this to measure steady-state
 	// sweeps with no construction noise. It must hold at least
 	// Workers(cfg.Workers) entries (nil entries are populated on first
 	// use, and a slot discarded after a failed job leaves nil behind);
-	// the caller must not touch the rack while the sweep runs. Ignored
-	// under ColdStart.
+	// the caller must not touch the rack while the sweep runs.
 	WarmPool []*sim.Warm
-	// NoBatch disables batched lockstep execution: jobs then run one at
-	// a time on their worker's warm slot even when several share an
-	// architectural stream. Batching is on by default because batched
-	// runs are byte-identical to sequential ones by contract (pinned by
-	// the sim package's batch differential and fuzz suites); NoBatch
-	// exists as the warm-only baseline (-batch=false on the CLIs) and as
-	// a diagnostic escape hatch. Batching also stands down on its own
-	// whenever grouping cannot apply: under ColdStart, with a positive
-	// JobTimeout (a whole-batch deadline would change per-job timeout
-	// semantics), with a fault injector (see Inject), for trace
-	// replays and zero-measurement jobs, for journal hits, and for
-	// groups of one.
+	// NoBatch has no effect: every job runs on its worker's warm slot.
+	//
+	// Deprecated: kept only for the benchmark harness; see
+	// internal/sim/batch.go.
 	NoBatch bool
-	// MaxBatch caps the members of one lockstep batch (0 means
-	// DefaultMaxBatch). Larger groups split into consecutive batches.
-	MaxBatch int
-	// Batch, when non-nil, supplies the batched path's reusable state
-	// (per-worker executors and grouping scratch) so a caller can keep
-	// it alive across RunSimsStats calls — the batched allocation test
-	// does, to measure steady-state batched sweeps at zero allocations.
-	// The caller must not use one BatchPool from two concurrent sweeps.
-	Batch *BatchPool
 	// Warn receives non-fatal degradation notices (currently: the one
 	// journal-disable notice under JournalDegrade). Nil discards them.
 	Warn func(error)
@@ -411,23 +390,14 @@ func RunSims(ctx context.Context, jobs []sim.Options, cfg SimsConfig) ([]sim.Res
 // NoCycleSkip setting reports the stats of whichever mechanism
 // actually ran (the fingerprint deliberately ignores that flag).
 //
-// Unless cfg.ColdStart is set, each worker owns a sim.Warm slot that
-// is reset between jobs instead of rebuilt — amortizing construction
-// across the sweep without changing a single output byte (warm runs
-// are byte-identical to cold by the sim package's contract). A slot
-// is taken off its worker's rack just before the simulation runs and
-// returned only when the run completes without error, so a job that
-// panics or fails mid-run discards its possibly half-mutated slot and
-// the next job on that worker starts from a fresh one.
-//
-// On top of the warm pool, jobs sharing an architectural stream
-// (sim.BatchKey: same workload profile, synthesis seed, and warm-up/
-// measurement horizon — policy and machine knobs may differ) execute
-// in lockstep batches that synthesize the block stream once per group
-// instead of once per job. Batching is scheduling only: results stay
-// in job order and byte-identical to the non-batched path (batched ≡
-// sequential ≡ warm ≡ cold, at any worker count). See SimsConfig.
-// NoBatch for when the runner stands the batched path down.
+// Each worker owns a sim.Warm slot that is reset between jobs instead
+// of rebuilt — amortizing construction across the sweep without
+// changing a single output byte (warm runs are byte-identical to cold
+// by the sim package's contract). A slot is taken off its worker's
+// rack just before the simulation runs and returned only when the run
+// completes without error, so a job that panics or fails mid-run
+// discards its possibly half-mutated slot and the next job on that
+// worker starts from a fresh one.
 func RunSimsStats(ctx context.Context, jobs []sim.Options, cfg SimsConfig) ([]SimOutcome, error) {
 	var mu sync.Mutex
 	report := func(r sim.Result) {
@@ -450,8 +420,6 @@ func RunSimsStats(ctx context.Context, jobs []sim.Options, cfg SimsConfig) ([]Si
 	)
 	// record checkpoints one finished job, applying the configured
 	// journal-failure mode. A non-nil return is the job's failure.
-	// Shared by the per-job path and the batched path so the two cannot
-	// diverge on journal semantics.
 	record := func(opt sim.Options, res sim.Result, st sim.RunStats) error {
 		if cfg.Journal == nil || journalDown.Load() {
 			return nil
@@ -475,16 +443,11 @@ func RunSimsStats(ctx context.Context, jobs []sim.Options, cfg SimsConfig) ([]Si
 	// One warm slot rack entry per worker. Worker indices partition
 	// the job stream (doRetryPolicyWorker's contract), so each entry
 	// is only ever touched by its own goroutine — no locks needed.
-	var warm []*sim.Warm
-	if !cfg.ColdStart {
-		if cfg.WarmPool != nil {
-			if need := Workers(cfg.Workers); len(cfg.WarmPool) < need {
-				return nil, fmt.Errorf("runner: WarmPool holds %d slots, need %d for the requested worker count", len(cfg.WarmPool), need)
-			}
-			warm = cfg.WarmPool
-		} else {
-			warm = make([]*sim.Warm, Workers(cfg.Workers))
-		}
+	warm := cfg.WarmPool
+	if warm == nil {
+		warm = make([]*sim.Warm, Workers(cfg.Workers))
+	} else if need := Workers(cfg.Workers); len(warm) < need {
+		return nil, fmt.Errorf("runner: WarmPool holds %d slots, need %d for the requested worker count", len(warm), need)
 	}
 	jobFn := func(ctx context.Context, i, attempt, worker int) (SimOutcome, error) {
 		opt := jobs[i]
@@ -507,53 +470,29 @@ func RunSimsStats(ctx context.Context, jobs []sim.Options, cfg SimsConfig) ([]Si
 				return SimOutcome{}, deadline(ctx, runCtx, err)
 			}
 		}
-		// Take this worker's slot; a nil slot runs cold (ColdStart, or
-		// first job on the worker, or predecessor discarded on failure).
-		var slot *sim.Warm
-		if warm != nil {
-			slot = warm[worker]
-			if slot == nil {
-				slot = sim.NewWarm()
-			}
-			warm[worker] = nil
+		// Take this worker's slot off the rack; an empty rack entry (the
+		// worker's first job, or its predecessor failed) gets a new one.
+		slot := warm[worker]
+		if slot == nil {
+			slot = sim.NewWarm()
 		}
+		warm[worker] = nil
 		res, st, err := slot.RunContextStats(runCtx, opt)
 		out := SimOutcome{Result: res, Stats: st}
 		if err != nil {
 			return out, deadline(ctx, runCtx, err)
 		}
-		if warm != nil {
-			// Clean completion: the slot's state is sound, rack it for
-			// the worker's next job. (Journal trouble below is I/O, not
-			// simulator corruption, so it does not discard the slot.)
-			warm[worker] = slot
-		}
+		// Clean completion: the slot's state is sound, rack it for the
+		// worker's next job. (Journal trouble below is I/O, not simulator
+		// corruption, so it does not discard the slot.)
+		warm[worker] = slot
 		if jerr := record(opt, res, st); jerr != nil {
 			return out, jerr
 		}
 		report(res)
 		return out, nil
 	}
-	// Fault-injected sweeps never batch: an injector's contract is
-	// per-job sequential semantics (a stall blocks exactly its own
-	// job, and already-completed jobs are journaled before it fires),
-	// which lockstep execution cannot honor — the members of a batch
-	// would have to run their injectors before any member simulates,
-	// so one stalling injector would starve the whole group. Injection
-	// is a torture-test mechanism; batched-vs-sequential byte identity
-	// keeps the fallback observably equivalent on the result side.
-	if cfg.ColdStart || cfg.NoBatch || cfg.JobTimeout > 0 || cfg.Inject != nil {
-		return doRetryPolicyWorker(ctx, len(jobs), cfg.Workers, cfg.Policy, retry, jobFn)
-	}
-	b := &batchedSims{
-		jobs:   jobs,
-		cfg:    cfg,
-		retry:  retry,
-		report: report,
-		record: record,
-		jobFn:  jobFn,
-	}
-	return b.run(ctx)
+	return doRetryPolicyWorker(ctx, len(jobs), cfg.Workers, cfg.Policy, retry, jobFn)
 }
 
 // deadline annotates err when the per-job deadline (not the sweep's

@@ -25,24 +25,36 @@ func warmPoolJobs(t *testing.T) []sim.Options {
 	}
 }
 
+// coldOutcomes is the cold reference for a sweep: every job built
+// from scratch by sim.RunContextStats, with no slot and no shared
+// program.
+func coldOutcomes(t *testing.T, jobs []sim.Options) []SimOutcome {
+	t.Helper()
+	out := make([]SimOutcome, len(jobs))
+	for i, opt := range jobs {
+		res, st, err := sim.RunContextStats(context.Background(), opt)
+		if err != nil {
+			t.Fatalf("job %d: %v", i, err)
+		}
+		out[i] = SimOutcome{Result: res, Stats: st}
+	}
+	return out
+}
+
 // TestSimsWarmPoolMatchesColdStart is the sweep-level byte-identity
-// contract: the default warm-pooled run must equal a ColdStart run of
-// the same jobs at every worker count, including under the race
-// detector (go test -race covers this file).
+// contract: the warm-pooled run must equal cold construction of the
+// same jobs at every worker count, including under the race detector
+// (go test -race covers this file).
 func TestSimsWarmPoolMatchesColdStart(t *testing.T) {
 	jobs := warmPoolJobs(t)
-	ctx := context.Background()
-	cold, err := RunSimsStats(ctx, jobs, SimsConfig{Workers: 1, ColdStart: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	cold := coldOutcomes(t, jobs)
 	for _, workers := range []int{1, 2, 8} {
-		warm, err := RunSimsStats(ctx, jobs, SimsConfig{Workers: workers})
+		warm, err := RunSimsStats(context.Background(), jobs, SimsConfig{Workers: workers})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		if !reflect.DeepEqual(cold, warm) {
-			t.Errorf("workers=%d: warm-pooled outcomes differ from ColdStart", workers)
+			t.Errorf("workers=%d: warm-pooled outcomes differ from cold", workers)
 		}
 	}
 }
@@ -50,28 +62,79 @@ func TestSimsWarmPoolMatchesColdStart(t *testing.T) {
 // TestSimsWarmPoolCallerRack reuses one caller-owned rack across
 // consecutive sweeps: results stay byte-identical to cold, and the
 // rack holds populated slots afterwards (the second sweep ran warm).
-// NoBatch pins the single-job slot path specifically — these jobs all
-// share one stream, so the default batched path would never touch the
-// rack (TestSimsBatchPoolReuse covers the batched equivalent).
 func TestSimsWarmPoolCallerRack(t *testing.T) {
 	jobs := warmPoolJobs(t)
-	ctx := context.Background()
-	cold, err := RunSimsStats(ctx, jobs, SimsConfig{Workers: 1, ColdStart: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	cold := coldOutcomes(t, jobs)
 	rack := make([]*sim.Warm, Workers(1))
 	for round := 0; round < 3; round++ {
-		got, err := RunSimsStats(ctx, jobs, SimsConfig{Workers: 1, WarmPool: rack, NoBatch: true})
+		got, err := RunSimsStats(context.Background(), jobs, SimsConfig{Workers: 1, WarmPool: rack})
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
 		if !reflect.DeepEqual(cold, got) {
-			t.Errorf("round %d: rack-pooled outcomes differ from ColdStart", round)
+			t.Errorf("round %d: rack-pooled outcomes differ from cold", round)
 		}
 		if rack[0] == nil {
 			t.Fatalf("round %d: clean sweep did not return the slot to the rack", round)
 		}
+	}
+}
+
+// TestSimsFailedJobDiscardsSlot is the slot-hygiene contract (DESIGN.md
+// §14): a job that fails mid-run does not return its possibly
+// half-mutated slot to the worker's rack, the jobs around it still
+// match cold, and the next clean sweep on the same rack racks a slot
+// again. Inject observes the rack entry each job finds before it takes
+// the slot.
+func TestSimsFailedJobDiscardsSlot(t *testing.T) {
+	healthy := warmPoolJobs(t)
+	cold := coldOutcomes(t, healthy)
+
+	const bad = 2
+	jobs := warmPoolJobs(t)
+	jobs[bad].MaxCycles = 1_000 // trips mid-warm-up
+	rack := make([]*sim.Warm, 1)
+	racked := make([]bool, len(jobs))
+	got, gotErr := RunSimsStats(context.Background(), jobs, SimsConfig{
+		Workers:  1,
+		Policy:   Continue,
+		WarmPool: rack,
+		Inject: func(_ context.Context, job, _ int) error {
+			racked[job] = rack[0] != nil
+			return nil
+		},
+	})
+	fails := Failures(gotErr)
+	if len(fails) != 1 || fails[0].Job != bad {
+		t.Fatalf("expected exactly job %d to fail, got %v", bad, gotErr)
+	}
+	if !racked[bad] {
+		t.Error("the job before the failure did not rack its slot")
+	}
+	if racked[bad+1] {
+		t.Error("the failed job's slot was returned to the rack")
+	}
+	for k := range jobs {
+		if k == bad {
+			if !reflect.DeepEqual(got[k], SimOutcome{}) {
+				t.Error("failed job reported a non-zero outcome")
+			}
+			continue
+		}
+		if !reflect.DeepEqual(got[k], cold[k]) {
+			t.Errorf("job %d diverged from cold", k)
+		}
+	}
+
+	again, err := RunSimsStats(context.Background(), healthy, SimsConfig{Workers: 1, WarmPool: rack})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(cold, again) {
+		t.Error("post-failure sweep on the same rack diverged from cold")
+	}
+	if rack[0] == nil {
+		t.Error("clean sweep did not rack a slot")
 	}
 }
 
@@ -140,7 +203,7 @@ func steadyAllocsPerJob(t *testing.T, jobs []sim.Options, cfg SimsConfig) float6
 // contract (DESIGN.md §14): once its slot is primed, a single-worker
 // sweep allocates nothing per job.
 func TestSimsWarmPoolZeroAllocsPerJob(t *testing.T) {
-	cfg := SimsConfig{Workers: 1, WarmPool: make([]*sim.Warm, 1), NoBatch: true}
+	cfg := SimsConfig{Workers: 1, WarmPool: make([]*sim.Warm, 1)}
 	if got := steadyAllocsPerJob(t, allocSweepJobs(t), cfg); got != 0 {
 		t.Errorf("warm sweep allocates %v per job in steady state, want 0", got)
 	}

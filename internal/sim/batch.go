@@ -2,30 +2,28 @@ package sim
 
 import (
 	"context"
-	"fmt"
-	"runtime/debug"
 
-	"emissary/internal/pipeline"
 	"emissary/internal/workload"
 )
 
-// BatchKey identifies one architectural stream: every Options value
-// mapping to the same key observes the identical committed-path block
-// sequence over the identical horizon, no matter how its policy,
-// geometry, or core knobs differ. The stream is a pure function of the
-// workload profile (including its synthesis seed) and the number of
-// NextBlock calls — opt.Seed feeds only the core/cache/policy RNG — so
-// jobs differing in policy, seed, FDIP/NLP, sizing overrides, or any
-// other knob can share one generated stream in lockstep.
+// BatchKey, BatchKeyOf, Batch, NewBatch and BatchResult remain only
+// because the benchmark harness (perfbench) still times a "batch pass"
+// through them; a later change to the benchmark retires them together
+// with its sim.batch_job_ms metrics. Every sweep job runs on the
+// per-job warm-slot path, and Batch.Run is a loop over it.
+
+// BatchKey identifies one architectural stream: Options values with
+// the same workload profile (including its synthesis seed) and the
+// same warm-up and measurement windows observe the identical
+// committed-path block sequence, whatever their policy or core knobs.
 type BatchKey struct {
 	Bench   workload.Profile
 	Warmup  uint64
 	Measure uint64
 }
 
-// BatchKeyOf maps opt to its stream key; ok is false when the job is
-// not batchable (trace replays own their file cursor; a zero
-// measurement window is rejected before running anyway).
+// BatchKeyOf maps opt to its stream key; ok is false for trace replays
+// and zero measurement windows.
 func BatchKeyOf(opt Options) (BatchKey, bool) {
 	if opt.TracePath != "" || opt.MeasureInstrs == 0 {
 		return BatchKey{}, false
@@ -33,381 +31,36 @@ func BatchKeyOf(opt Options) (BatchKey, bool) {
 	return BatchKey{Bench: opt.Benchmark, Warmup: opt.WarmupInstrs, Measure: opt.MeasureInstrs}, true
 }
 
-// BatchResult is one member's outcome: on error, Result and Stats are
-// zero, exactly as the sequential warm path reports.
+// BatchResult is one member's outcome; on error, Result and Stats are
+// zero.
 type BatchResult struct {
 	Result Result
 	Stats  RunStats
 	Err    error
 }
 
-// BatchPanic is a panic recovered from one batch member's simulation.
-// Members are isolated: a panicking member fails alone while the rest
-// of the batch completes. The runner unwraps this into its *JobError
-// form (cause + stack), mirroring what its own recover produces on the
-// sequential path.
-type BatchPanic struct {
-	Cause error
-	Stack []byte
-}
-
-func (p *BatchPanic) Error() string { return fmt.Sprintf("batch member panic: %v", p.Cause) }
-
-// Unwrap lets errors.Is/As see the cause.
-func (p *BatchPanic) Unwrap() error { return p.Cause }
-
-// batchChunk is how many committed instructions one member advances
-// per round-robin turn. It trades the lockstep ring's high-water size
-// (the fast-to-slow reader spread is about one turn of blocks, so the
-// ring grows to a few times this over its initial size and then stays)
-// against member-switch cost: every turn reloads the member's core and
-// hierarchy state through the host caches, so the chunk must sit far
-// above that fixed reload. Like runWindow's chunk, it is a scheduling
-// detail, not a semantic boundary: chunked stepping is byte-identical
-// at any chunk size.
-const batchChunk = 262144
-
-// Batch member phases. phaseInit is the zero value: a member is
-// prepared lazily on its first turn, not when the batch is assembled,
-// so the slot-reset writes land immediately before the run that reads
-// them — preparing all R members upfront would evict each member's
-// freshly-reset state from the host caches before it ever stepped.
-const (
-	phaseInit = iota
-	phaseWarmup
-	phaseMeasure
-	phaseDone
-)
-
-type batchMember struct {
-	idx         int
-	opt         Options
-	slot        *Warm
-	reader      *workload.LockstepReader
-	polName     string
-	phase       int
-	target      uint64 // committed-instruction target of the current phase
-	windowStart uint64 // committed count at the current phase's entry
-	start       pipeline.Snapshot
-}
-
-// Batch is a reusable lockstep executor: R simulations sharing one
-// BatchKey run against a single workload engine whose stream fans out
-// through a ring buffer, while each member keeps its own independent
-// core, hierarchy, and warm slot. Members are stepped round-robin in
-// bounded chunks; each consumes the shared stream at its own pace and
-// the ring window advances past the slowest live member.
-//
-// Correctness contract: every member's Result, RunStats, and error are
-// byte-identical to a sequential (*Warm).RunContextStats of the same
-// Options (pinned by the batch differential and fuzz suites). A Batch
-// is NOT safe for concurrent use; give each worker its own. Reuse
-// across Run calls is the point — the ring, member table, and engine
-// are all recycled, so steady-state batches allocate nothing.
+// Batch runs a group of jobs one after another, each on its own warm
+// slot. It is not safe for concurrent use.
 type Batch struct {
-	ls      *workload.Lockstep
-	eng     *workload.Engine
-	members []batchMember
 	results []BatchResult
-	live    int
 }
 
-// NewBatch returns an empty executor; the first Run populates it.
+// NewBatch returns an empty Batch.
 func NewBatch() *Batch {
-	return &Batch{ls: workload.NewLockstep()}
+	return &Batch{}
 }
 
-// Run executes opts — which must all share one BatchKey — in lockstep.
-// slots supplies one warm slot per member; nil entries are populated
-// in place (so the caller can rack the constructed slots afterwards),
-// and entries must be distinct. A member that fails leaves its
-// possibly half-mutated slot behind exactly like a failed sequential
-// job; the caller decides whether to discard it. The returned slice is
-// valid until the next Run call.
+// Run executes opts in order, member i on slots[i]; slots holds one
+// entry per member, and nil entries are populated in place. The
+// returned slice is valid until the next Run call.
 func (b *Batch) Run(ctx context.Context, opts []Options, slots []*Warm) []BatchResult {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	n := len(opts)
-	if cap(b.results) < n {
-		b.results = make([]BatchResult, n)
-	}
-	b.results = b.results[:n]
-	for i := range b.results {
-		b.results[i] = BatchResult{}
-	}
-	if cap(b.members) < n {
-		b.members = make([]batchMember, n)
-	}
-	b.members = b.members[:n]
-	if n == 0 {
-		return b.results
-	}
-
-	failAll := func(err error) []BatchResult {
-		for i := range b.results {
-			b.results[i] = BatchResult{Err: err}
-		}
-		return b.results
-	}
-	if len(slots) != n {
-		return failAll(fmt.Errorf("sim: batch of %d members got %d slots", n, len(slots)))
-	}
-	key, ok := BatchKeyOf(opts[0])
-	if !ok {
-		return failAll(fmt.Errorf("sim: job is not batchable (trace replay or zero measurement window)"))
-	}
-	for _, o := range opts[1:] {
-		if k, kok := BatchKeyOf(o); !kok || k != key {
-			return failAll(fmt.Errorf("sim: batch members do not share one architectural stream"))
-		}
-	}
-
-	prog, err := workload.SharedPrograms.Get(key.Bench)
-	if err != nil {
-		return failAll(err)
-	}
-	if b.eng == nil {
-		b.eng = workload.NewEngine(prog)
-	} else {
-		b.eng.Reset(prog)
-	}
-	if b.ls == nil {
-		b.ls = workload.NewLockstep()
-	}
-	b.ls.Start(b.eng, n)
-
-	b.live = 0
-	for i := range b.members {
+	b.results = b.results[:0]
+	for i, opt := range opts {
 		if slots[i] == nil {
 			slots[i] = NewWarm()
 		}
-		b.members[i] = batchMember{idx: i, opt: opts[i], slot: slots[i], reader: b.ls.Reader(i)}
-		b.live++
-	}
-
-	for b.live > 0 {
-		if err := ctx.Err(); err != nil {
-			for i := range b.members {
-				if m := &b.members[i]; m.phase != phaseDone {
-					b.failMember(m, err)
-				}
-			}
-			break
-		}
-		for i := range b.members {
-			if m := &b.members[i]; m.phase != phaseDone {
-				b.stepMember(m, prog)
-			}
-		}
+		res, st, err := slots[i].RunContextStats(ctx, opt)
+		b.results = append(b.results, BatchResult{Result: res, Stats: st, Err: err})
 	}
 	return b.results
-}
-
-// initMember assembles the member's core around its lockstep reader
-// and arms the warm-up window. Recovered panics (degenerate geometry
-// deep in construction) fail the member alone.
-func (b *Batch) initMember(m *batchMember, prog *workload.Program) {
-	defer b.recoverMember(m)
-	polName, err := m.slot.prepare(m.opt, m.reader)
-	if err != nil {
-		b.failMember(m, err)
-		return
-	}
-	m.polName = polName
-	m.phase = phaseWarmup
-	m.windowStart = m.slot.core.Committed()
-	m.target = m.windowStart + m.opt.WarmupInstrs
-	if m.slot.core.Committed() >= m.target {
-		// Zero warm-up: snapshot immediately, as runWindow's empty loop
-		// would.
-		b.advancePhase(m, prog)
-	}
-}
-
-// recoverMember converts a panic escaping one member's turn into that
-// member's failure, leaving the rest of the batch running.
-func (b *Batch) recoverMember(m *batchMember) {
-	if r := recover(); r != nil {
-		cause, ok := r.(error)
-		if !ok {
-			cause = fmt.Errorf("%v", r)
-		}
-		b.failMember(m, &BatchPanic{Cause: cause, Stack: debug.Stack()})
-	}
-}
-
-// stepMember advances one member by up to batchChunk committed
-// instructions, mirroring runWindow's semantics exactly: a
-// RunCommitted error fails the phase, zero forward progress is a
-// TruncatedError with the same fields, and reaching a phase target
-// hands off to advancePhase. The turn budget deliberately spans phase
-// boundaries: a member whose remaining work fits the budget finishes
-// in this turn, so short jobs keep the member's core and hierarchy
-// state hot in the host caches exactly like a sequential run — the
-// member-switch reload cost is paid per batchChunk instructions, never
-// per phase.
-func (b *Batch) stepMember(m *batchMember, prog *workload.Program) {
-	defer b.recoverMember(m)
-	if m.phase == phaseInit {
-		b.initMember(m, prog)
-		if m.phase == phaseDone {
-			return
-		}
-	}
-	c := m.slot.core
-	turnEnd := c.Committed() + batchChunk
-	for m.phase != phaseDone {
-		target := m.target
-		if target > turnEnd {
-			target = turnEnd
-		}
-		before := c.Committed()
-		got, err := c.RunCommitted(target - before)
-		if err != nil {
-			b.failMember(m, err)
-			return
-		}
-		if got == before {
-			b.failMember(m, &TruncatedError{Stage: m.stage(), Want: m.want(), Got: got - m.windowStart, Options: m.opt})
-			return
-		}
-		if c.Committed() >= m.target {
-			b.advancePhase(m, prog)
-		}
-		if c.Committed() >= turnEnd {
-			return
-		}
-	}
-}
-
-func (m *batchMember) stage() string {
-	if m.phase == phaseWarmup {
-		return "warm-up"
-	}
-	return "measurement"
-}
-
-func (m *batchMember) want() uint64 {
-	if m.phase == phaseWarmup {
-		return m.opt.WarmupInstrs
-	}
-	return m.opt.MeasureInstrs
-}
-
-// advancePhase takes the window-boundary snapshot and either arms the
-// measurement window or packages the member's finished Result.
-func (b *Batch) advancePhase(m *batchMember, prog *workload.Program) {
-	c := m.slot.core
-	switch m.phase {
-	case phaseWarmup:
-		m.start = c.TakeSnapshot()
-		m.phase = phaseMeasure
-		m.windowStart = c.Committed()
-		m.target = m.windowStart + m.opt.MeasureInstrs
-	case phaseMeasure:
-		end := c.TakeSnapshot()
-		hier := m.slot.hier
-		census := hier.L2.FillPriorityCensus(m.slot.censusBuf(hier.L2.Ways() + 1))
-		b.results[m.idx] = BatchResult{
-			Result: Result{
-				Result:               pipeline.Diff(m.start, end, census),
-				Benchmark:            m.opt.Benchmark.Name,
-				Policy:               m.polName,
-				FootprintBytes:       prog.FootprintBytes(),
-				BranchMispredictRate: c.BranchMispredictRate(),
-			},
-			Stats: RunStats{Cycles: c.Cycle(), SkippedCycles: c.SkippedCycles()},
-		}
-		b.finishMember(m)
-	}
-}
-
-// failMember records err and retires the member; its Result and Stats
-// stay zero, matching the sequential error contract.
-func (b *Batch) failMember(m *batchMember, err error) {
-	if m.phase == phaseDone {
-		return
-	}
-	b.results[m.idx] = BatchResult{Err: err}
-	b.finishMember(m)
-}
-
-// finishMember retires the member and releases its reader so the ring
-// window stops waiting on its cursor.
-func (b *Batch) finishMember(m *batchMember) {
-	m.phase = phaseDone
-	m.reader.Release()
-	b.live--
-}
-
-// RunGrouped executes opts sequentially in job order, running members
-// that share an architectural stream (equal BatchKey) as one lockstep
-// batch. Results come back in job order and are byte-identical to
-// running each job alone; the first failing job (lowest index) aborts
-// with its error, matching RunReplicated's historical contract. Jobs
-// that are not batchable — trace replays — run individually.
-func RunGrouped(ctx context.Context, opts []Options) ([]Result, error) {
-	results := make([]Result, len(opts))
-	// Group in first-occurrence order: scheduling metadata only — each
-	// member's output is independent of its group.
-	type group struct {
-		key     BatchKey
-		indices []int
-	}
-	var groups []group
-	byKey := make(map[BatchKey]int)
-	for i, o := range opts {
-		key, ok := BatchKeyOf(o)
-		if !ok {
-			groups = append(groups, group{indices: []int{i}})
-			continue
-		}
-		gi, seen := byKey[key]
-		if !seen {
-			byKey[key] = len(groups)
-			groups = append(groups, group{key: key, indices: []int{i}})
-			continue
-		}
-		groups[gi].indices = append(groups[gi].indices, i)
-	}
-
-	// Every group runs even after a failure: errors are deterministic
-	// properties of each job's Options, so the lowest failing index —
-	// the error a sequential loop would have stopped at — is identical
-	// either way, and completed work stays comparable across runs.
-	var (
-		b        *Batch
-		firstErr error
-		errIdx   = len(opts)
-	)
-	for _, g := range groups {
-		if len(g.indices) == 1 {
-			i := g.indices[0]
-			res, err := RunContext(ctx, opts[i])
-			if err != nil && i < errIdx {
-				firstErr, errIdx = err, i
-			}
-			results[i] = res
-			continue
-		}
-		if b == nil {
-			b = NewBatch()
-		}
-		batchOpts := make([]Options, len(g.indices))
-		for k, i := range g.indices {
-			batchOpts[k] = opts[i]
-		}
-		outs := b.Run(ctx, batchOpts, make([]*Warm, len(g.indices)))
-		for k, i := range g.indices {
-			if outs[k].Err != nil && i < errIdx {
-				firstErr, errIdx = outs[k].Err, i
-			}
-			results[i] = outs[k].Result
-		}
-	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return results, nil
 }

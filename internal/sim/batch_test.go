@@ -7,84 +7,13 @@ import (
 	"testing"
 
 	"emissary/internal/pipeline"
-	"emissary/internal/rng"
 	"emissary/internal/sim"
-	"emissary/internal/workload"
 )
 
-// runBatchBoth executes opts (which share one BatchKey) through b and
-// individually through cold RunContextStats, requiring member-for-
-// member byte identity: Result, RunStats, and error all equal.
-func runBatchBoth(t *testing.T, b *sim.Batch, opts []sim.Options, label string) {
-	t.Helper()
-	ctx := context.Background()
-	outs := b.Run(ctx, opts, make([]*sim.Warm, len(opts)))
-	for i, opt := range opts {
-		coldRes, coldStats, coldErr := sim.RunContextStats(ctx, opt)
-		if (outs[i].Err == nil) != (coldErr == nil) {
-			t.Errorf("%s member %d: batch err %v, cold err %v", label, i, outs[i].Err, coldErr)
-			continue
-		}
-		if coldErr != nil {
-			if !reflect.DeepEqual(outs[i].Err, coldErr) {
-				t.Errorf("%s member %d: batch err %#v differs from cold %#v", label, i, outs[i].Err, coldErr)
-			}
-			continue
-		}
-		if got, want := goldenDigest(outs[i].Result), goldenDigest(coldRes); got != want {
-			t.Errorf("%s member %d: batched result diverged from cold\nbatch: %s\ncold:  %s", label, i, got, want)
-		}
-		if !reflect.DeepEqual(outs[i].Result, coldRes) {
-			t.Errorf("%s member %d: batched Result differs from cold beyond the digest", label, i)
-		}
-		if outs[i].Stats != coldStats {
-			t.Errorf("%s member %d: batched RunStats %+v differ from cold %+v", label, i, outs[i].Stats, coldStats)
-		}
-	}
-}
-
-// TestBatchLockstepDifferential is the batch correctness contract:
-// members varying every policy and knob — different seeds, geometry
-// fall-backs, instrumentation, cycle-skip off — run in one lockstep
-// batch and must be byte-identical to sequential cold runs. One shared
-// executor carries all matrices, so cross-batch reuse is exercised too.
-func TestBatchLockstepDifferential(t *testing.T) {
-	b := sim.NewBatch()
-
-	// Policy matrix on one stream.
-	var polOpts []sim.Options
-	for i, pol := range goldenPolicies {
-		polOpts = append(polOpts, lockstepOptions(t, "tomcat", pol, uint64(i)))
-	}
-	runBatchBoth(t, b, polOpts, "policies")
-
-	// Knob matrix: same stream, wildly different core/cache wiring.
-	muts := []func(*sim.Options){
-		func(o *sim.Options) {},
-		func(o *sim.Options) { o.TrackReuse = true },
-		func(o *sim.Options) { o.PriorityResetInterval = 10_000 },
-		func(o *sim.Options) { o.FDIP = false },
-		func(o *sim.Options) { o.NLP = false },
-		func(o *sim.Options) { o.TrueLRU = true },
-		func(o *sim.Options) { o.IdealL2I = true },
-		func(o *sim.Options) { o.FTQEntries = 16 },
-		func(o *sim.Options) { o.MaxMSHRs = 4 },
-		func(o *sim.Options) { o.MRCEntries = 64 },
-		func(o *sim.Options) { o.NoCycleSkip = true },
-		func(o *sim.Options) { o.Seed = 99 },
-	}
-	var knobOpts []sim.Options
-	for _, mut := range muts {
-		opt := lockstepOptions(t, "xapian", "P(8):S&E&R(1/32)", 3)
-		mut(&opt)
-		knobOpts = append(knobOpts, opt)
-	}
-	runBatchBoth(t, b, knobOpts, "knobs")
-}
-
-// TestBatchMemberFailure pins member isolation: a member with an
-// exhausted cycle budget fails with the same StallError a sequential
-// run produces, while its batch-mates complete byte-identical results.
+// TestBatchMemberFailure pins Batch.Run's per-member contract: a
+// member with an exhausted cycle budget fails with the same StallError
+// a cold run produces, the other members complete byte-identical
+// results, and every nil slot is populated in place.
 func TestBatchMemberFailure(t *testing.T) {
 	opts := []sim.Options{
 		lockstepOptions(t, "tomcat", "TPLRU", 1),
@@ -94,7 +23,13 @@ func TestBatchMemberFailure(t *testing.T) {
 	opts[1].MaxCycles = 1_000 // trips mid-warm-up
 
 	b := sim.NewBatch()
-	outs := b.Run(context.Background(), opts, make([]*sim.Warm, len(opts)))
+	slots := make([]*sim.Warm, len(opts))
+	outs := b.Run(context.Background(), opts, slots)
+	for i, slot := range slots {
+		if slot == nil {
+			t.Errorf("member %d's nil slot was not populated", i)
+		}
+	}
 	var stall *pipeline.StallError
 	if !errors.As(outs[1].Err, &stall) {
 		t.Fatalf("budgeted member returned %v, want StallError", outs[1].Err)
@@ -114,84 +49,6 @@ func TestBatchMemberFailure(t *testing.T) {
 		if !reflect.DeepEqual(outs[i].Result, coldRes) || outs[i].Stats != coldStats {
 			t.Errorf("surviving member %d diverged from cold", i)
 		}
-	}
-}
-
-// TestBatchFuzz hammers one reusable executor with deterministic random
-// batches — random benchmark, member count, and per-member policy/seed/
-// knob draws — requiring byte identity with cold on every member. Any
-// cross-member leakage through the shared ring or a stale slot reset
-// shows up here.
-func TestBatchFuzz(t *testing.T) {
-	iters := 12
-	if testing.Short() {
-		iters = 4
-	}
-	benches := workload.ProfileNames()
-	r := rng.NewSplitMix64(0xba7c4)
-	b := sim.NewBatch()
-	for it := 0; it < iters; it++ {
-		bench := benches[r.Uint64()%uint64(len(benches))]
-		members := 2 + int(r.Uint64()%4)
-		opts := make([]sim.Options, members)
-		for i := range opts {
-			pol := goldenPolicies[r.Uint64()%uint64(len(goldenPolicies))]
-			opt := lockstepOptions(t, bench, pol, r.Uint64()%1024)
-			opt.WarmupInstrs = 2_000
-			opt.MeasureInstrs = 8_000
-			bits := r.Uint64()
-			opt.FDIP = bits&1 != 0
-			opt.NLP = bits&2 != 0
-			opt.TrueLRU = bits&4 != 0
-			opt.TrackReuse = bits&8 != 0
-			opt.IdealL2I = bits&16 != 0
-			opt.NoCycleSkip = bits&32 != 0
-			if bits&64 != 0 {
-				opt.PriorityResetInterval = 4_096
-			}
-			if bits&128 != 0 {
-				opt.FTQEntries = 16
-			}
-			if bits&256 != 0 {
-				opt.MRCEntries = 32
-			}
-			opts[i] = opt
-		}
-		runBatchBoth(t, b, opts, bench)
-	}
-}
-
-// TestRunGroupedMatchesSequential drives the ordered grouping helper
-// with an interleaved mix of shared-stream and singleton jobs and
-// requires job-order results identical to a plain sequential loop.
-func TestRunGroupedMatchesSequential(t *testing.T) {
-	mk := func(bench, pol string, seed uint64) sim.Options {
-		return lockstepOptions(t, bench, pol, seed)
-	}
-	jobs := []sim.Options{
-		mk("tomcat", "TPLRU", 1),
-		mk("xapian", "TPLRU", 1),
-		mk("tomcat", "SRRIP", 2),
-		mk("kafka", "TPLRU", 3),
-		mk("xapian", "GHRP", 4),
-		mk("tomcat", "P(8):S&E&R(1/32)", 5),
-	}
-	jobs[3].MeasureInstrs = 12_000 // different horizon: own group
-
-	want := make([]sim.Result, len(jobs))
-	for i, opt := range jobs {
-		res, err := sim.RunContext(context.Background(), opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[i] = res
-	}
-	got, err := sim.RunGrouped(context.Background(), jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Error("grouped results differ from the sequential loop")
 	}
 }
 

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"context"
 	"fmt"
 	"math"
 
@@ -74,21 +73,18 @@ func Aggregate(runs []Result) Replicated {
 // RunReplicated executes opt under n different seeds (derived from
 // opt.Seed) and aggregates. n must be at least 1. For a parallel
 // version see runner.Replicated, which produces identical output.
-//
-// Replicas run through the grouped lockstep executor: any replicas
-// sharing an architectural stream batch together. Stock replica sets
-// re-seed the workload synthesis per replica (each measures a fresh
-// program instance), so they degenerate to sequential runs — but a
-// caller replicating over a fixed Benchmark.Seed batches fully, and
-// either way output is byte-identical to the historical loop.
 func RunReplicated(opt Options, n int) (Replicated, error) {
 	opts, err := ReplicaOptions(opt, n)
 	if err != nil {
 		return Replicated{}, err
 	}
-	runs, err := RunGrouped(context.Background(), opts)
-	if err != nil {
-		return Replicated{}, err
+	runs := make([]Result, 0, n)
+	for _, o := range opts {
+		res, err := Run(o)
+		if err != nil {
+			return Replicated{}, err
+		}
+		runs = append(runs, res)
 	}
 	return Aggregate(runs), nil
 }

@@ -21,7 +21,7 @@ import (
 //
 // The correctness contract is absolute: a warm run produces results
 // byte-identical to the package-level RunContextStats with the same
-// Options (pinned by the warm-vs-cold lockstep and fuzz tests). When
+// Options (pinned by TestWarmColdLockstep and TestWarmColdFuzz). When
 // a run's geometry cannot be expressed by resetting the held state —
 // different cache or pipeline sizing, or a trace replay — the slot
 // transparently falls back to fresh construction and, where possible,
@@ -30,8 +30,8 @@ import (
 // A Warm is NOT safe for concurrent use; give each worker its own.
 // After an error or panic escapes a run, the held state may be
 // half-mutated — every component reset restores from any intermediate
-// state, so reuse is still sound, but cautious callers (the sweep
-// runner) discard the slot instead.
+// state, so reuse is still sound, but the sweep runner discards the
+// slot instead (the runner's TestSimsFailedJobDiscardsSlot pins this).
 type Warm struct {
 	hier *cache.Hierarchy
 	core *pipeline.Core
@@ -80,27 +80,14 @@ func (w *Warm) RunContextStats(ctx context.Context, opt Options) (Result, RunSta
 		w.eng.Reset(prog)
 	}
 
-	polName, err := w.prepare(opt, w.eng)
-	if err != nil {
-		return Result{}, RunStats{}, err
-	}
-	return finishRun(ctx, w.core, opt, w.hier, opt.Benchmark.Name, polName, prog.FootprintBytes(), w)
-}
-
-// prepare wires the slot's hierarchy and core — reset in place when the
-// geometry allows, rebuilt otherwise — around src for opt, and returns
-// the cached policy name. Shared by the single-job warm path (src is
-// the slot's own engine) and the batch path (src is a lockstep reader),
-// so the two cannot diverge on reset-or-rebuild decisions.
-func (w *Warm) prepare(opt Options, src trace.Source) (string, error) {
 	spec, ccfg, pcfg := deriveConfigs(opt)
 	if w.hier == nil || !w.hier.Reset(ccfg) {
 		w.hier = cache.NewHierarchy(ccfg)
 	}
-	if w.core == nil || !w.core.Reset(pcfg, src, w.hier, ccfg.Seed) {
-		c, err := pipeline.NewCore(pcfg, src, w.hier, ccfg.Seed)
+	if w.core == nil || !w.core.Reset(pcfg, w.eng, w.hier, ccfg.Seed) {
+		c, err := pipeline.NewCore(pcfg, w.eng, w.hier, ccfg.Seed)
 		if err != nil {
-			return "", err
+			return Result{}, RunStats{}, err
 		}
 		w.core = c
 	}
@@ -110,7 +97,7 @@ func (w *Warm) prepare(opt Options, src trace.Source) (string, error) {
 		polName = spec.String()
 		w.polNames[spec] = polName
 	}
-	return polName, nil
+	return finishRun(ctx, w.core, opt, w.hier, opt.Benchmark.Name, polName, prog.FootprintBytes(), w)
 }
 
 // runCold is the un-pooled construction path: build everything fresh,

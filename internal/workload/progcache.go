@@ -53,10 +53,9 @@ type progCall struct {
 // of a still-needed entry rare.
 const DefaultProgramCacheSize = 32
 
-// SharedPrograms is the process-wide cache every simulation path —
-// warm slots, batch executors, and the plain cold runner excepted —
-// draws from. Cold runs deliberately bypass it so perfbench's cold
-// baseline (sim.cold_job_ms) keeps paying full construction cost.
+// SharedPrograms is the process-wide cache warm simulation slots draw
+// from. Cold runs deliberately bypass it so perfbench's cold baseline
+// (sim.cold_job_ms) keeps paying full construction cost.
 var SharedPrograms = NewProgramCache(DefaultProgramCacheSize)
 
 // NewProgramCache returns an empty cache bounded to capacity entries
